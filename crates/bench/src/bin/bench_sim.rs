@@ -355,19 +355,17 @@ fn main() {
         }
     }
 
-    // --- queue_resort: kinetic WFP priority maintenance ---
+    // --- queue_resort: WFP priority maintenance ---
     // Drives `QueueManager` directly: seed `w` waiting jobs, then run 64
     // scheduling invocations at advancing `now`, each re-establishing the
-    // exact WFP permutation. `wfp_kinetic` is the engine's path — the
-    // certificate index pays per *crossing*, so a quiescent invocation is
-    // a heap peek; `wfp_full_resort` is the pre-kinetic discipline (score
-    // every job, stable-sort the cached scores) on the same job stream,
-    // kept as the honest old-vs-new contrast for DESIGN.md §10.2. Two
-    // regimes bracket real workloads: `burst` starts invoking right after
-    // the submit window, when every wait is still small and score
-    // crossings are dense (the kinetic worst case — the storm guard falls
-    // back to the rebuild there); `aged` starts invoking two days later,
-    // when the order has largely converged and crossings are sparse (the
+    // exact WFP permutation. `wfp_queue` is the engine's path (score each
+    // job once into a reused buffer, stable-sort the cached scores, the
+    // previous order as input); `wfp_full_resort` is the
+    // recompute-in-comparator `BaseScheduler::order` on the same job
+    // stream, the contrast for DESIGN.md §10.2. Two regimes bracket real
+    // workloads: `burst` starts invoking right after the submit window,
+    // when every wait is still small and the order churns; `aged` starts
+    // invoking two days later, when the order has largely converged (the
     // regime a live queue spends almost all wall-clock time in).
     {
         let mut rng = SmallRng::seed_from_u64(4_242);
@@ -384,7 +382,7 @@ fn main() {
                 .collect();
             for (regime, start) in [("burst", 7_260.0f64), ("aged", 180_000.0f64)] {
                 push(
-                    &format!("queue_resort_w{label}/wfp_kinetic_{regime}"),
+                    &format!("queue_resort_w{label}/wfp_queue_{regime}"),
                     samples,
                     0.02,
                     &mut || {

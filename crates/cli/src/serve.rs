@@ -389,7 +389,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
             };
 
             match classify_line(&line)
-                .map_err(|e| CliError::Input(format!("input line {consumed}: {e}")))?
+                .map_err(|e| CliError::Input(format!("input line {}: {e}", consumed + 1)))?
             {
                 ServeLine::SetPolicy(new_kind) => {
                     if live {

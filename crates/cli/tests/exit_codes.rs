@@ -53,6 +53,46 @@ fn malformed_event_stream_exits_3() {
 }
 
 #[test]
+fn invalid_submitted_job_exits_3() {
+    // A submit whose job fails `Job::validate` is malformed input: zero
+    // runtime, and a walltime that overflows to infinity, must not start.
+    let dir = std::env::temp_dir().join(format!("bbsched_exit_job_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let valid = "{\"type\":\"submit\",\"job\":{\"id\":0,\"submit\":0.0,\"nodes\":1,\"runtime\":50.0,\"walltime\":100.0,\"bb_gb\":0.0,\"ssd_gb_per_node\":0.0,\"deps\":[],\"extra\":[]}}";
+    for (name, runtime, walltime) in
+        [("zero_runtime", "0.0", "100.0"), ("huge_walltime", "50.0", "1e400")]
+    {
+        let bad = format!(
+            "{{\"type\":\"submit\",\"job\":{{\"id\":1,\"submit\":0.0,\"nodes\":1,\"runtime\":{runtime},\"walltime\":{walltime},\"bb_gb\":0.0,\"ssd_gb_per_node\":0.0,\"deps\":[],\"extra\":[]}}}}"
+        );
+        let path = dir.join(format!("{name}.jsonl"));
+        std::fs::write(&path, format!("{valid}\n{bad}\n")).unwrap();
+        let out = bbsched(&[
+            "replay",
+            "--events",
+            path.to_str().unwrap(),
+            "--machine",
+            "cori",
+            "--policy",
+            "Baseline",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{name}: stderr: {stderr}");
+        assert!(stderr.contains("line 2"), "{name}: the error names the line: {stderr}");
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("\"start\""),
+            "{name}: nothing starts"
+        );
+        // The daemon shares the parse, so it treats the line the same way.
+        let out = bbsched(&["serve", "--events", path.to_str().unwrap(), "--machine", "cori"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "serve {name}: stderr: {stderr}");
+        assert!(stderr.contains("line 2"), "serve {name}: the error names the line: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn time_regressing_event_stream_exits_1() {
     let dir = std::env::temp_dir().join(format!("bbsched_exit_tr_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -10,6 +10,7 @@
 
 use bbsched_workloads::Job;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// The base scheduling policy ordering the waiting queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,16 +48,23 @@ impl BaseScheduler {
     /// breaking ties by submit time then id for determinism.
     pub fn order(&self, queue: &mut [usize], jobs: &[Job], now: f64) {
         queue.sort_by(|&a, &b| {
-            let sa = self.score(&jobs[a], now);
-            let sb = self.score(&jobs[b], now);
-            sb.partial_cmp(&sa)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    jobs[a].submit.partial_cmp(&jobs[b].submit).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .then_with(|| jobs[a].id.cmp(&jobs[b].id))
+            let (ja, jb) = (&jobs[a], &jobs[b]);
+            priority_cmp(
+                (self.score(ja, now), ja.submit, ja.id),
+                (self.score(jb, now), jb.submit, jb.id),
+            )
         });
     }
+}
+
+/// The queue comparator on `(score, submit, id)` keys: descending score,
+/// then ascending submit, then ascending id. The id is unique, so on
+/// keys without NaN this is a strict total order.
+pub(crate) fn priority_cmp(a: (f64, f64, u64), b: (f64, f64, u64)) -> Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
+        .then_with(|| a.2.cmp(&b.2))
 }
 
 #[cfg(test)]

@@ -6,30 +6,32 @@
 //! * **FCFS** is a *static* total order — `(submit, id)` ascending — so
 //!   the queue is kept sorted incrementally: each arrival is inserted at
 //!   its binary-searched position and no per-invocation re-sort ever
-//!   happens. This replaces the monolithic loop's full
-//!   `O(n log n)`-per-invocation sort with `O(log n)` per arrival.
+//!   happens (`O(log n)` per arrival instead of an `O(n log n)` sort per
+//!   invocation).
 //! * **WFP** scores are time-dependent (`(wait/walltime)³ × nodes` grows
-//!   every second), so the queue *must* be re-scored and re-sorted at
-//!   every scheduling invocation. Each job's score is computed **once**
-//!   into a reused buffer and the sort compares cached values — the
-//!   comparator chain is unchanged, so the permutation is identical to
-//!   the recompute-in-comparator sort, without the `O(n log n)` redundant
-//!   score evaluations per invocation.
+//!   every second), so the queue is re-scored and re-sorted at every
+//!   scheduling invocation. Each job's score is computed **once** into a
+//!   buffer the manager owns and reuses (no allocation per invocation),
+//!   and a stable sort compares the cached values with the comparator
+//!   [`BaseScheduler::order`] uses. The sort's input is the previous
+//!   order with arrivals appended, which the run-adaptive sort handles in
+//!   near-linear time.
 //!
-//! Both disciplines produce byte-identical orderings to the old full
-//! re-sort: FCFS because `(submit, id)` is the same strict total order the
-//! sort used, WFP because scores are deterministic per `(job, now)` and
-//! the (stable) sort applies the same comparator to the same values.
-//! Property tests below check both claims on random queues.
+//! Both disciplines produce the same permutation as the
+//! recompute-in-comparator [`BaseScheduler::order`]: FCFS because
+//! `(submit, id)` is the strict total order that sort uses, WFP because
+//! scores are deterministic per `(job, now)` and the unique `id` breaks
+//! every tie, so the sorted order does not depend on the input order.
+//! Debug builds assert the WFP claim on every invocation; property tests
+//! below check both on random queues.
 //!
 //! Started-job cleanup subtracts a [`JobSet`] bitset inside `retain`, so
 //! each membership probe is a shift-and-mask instead of a hash — the
 //! `started.contains`-per-element pattern stays linear in the queue
 //! length with a tiny constant even on 100k-job traces.
 
-use crate::base_sched::BaseScheduler;
+use crate::base_sched::{priority_cmp, BaseScheduler};
 use crate::jobset::JobSet;
-use crate::kinetic::KineticIndex;
 use bbsched_workloads::Job;
 
 /// The engine's waiting queue, ordered by base-scheduler priority.
@@ -38,17 +40,15 @@ pub struct QueueManager {
     base: BaseScheduler,
     /// Indices into the engine's job table, highest priority first.
     queue: Vec<usize>,
-    /// Kinetic sorted-order index (WFP only): certificates on adjacent
-    /// pairs turn the per-invocation re-sort into crossing-driven
-    /// incremental maintenance. Transient — never serialized; rebuilt
-    /// from `queue` after restore (see `crate::kinetic`).
-    kinetic: KineticIndex,
+    /// WFP sort scratch, `(score, submit, id, idx)` per waiting job:
+    /// reused across invocations, never serialized.
+    scored: Vec<(f64, f64, u64, usize)>,
 }
 
 impl QueueManager {
     /// An empty queue under the given base scheduler.
     pub fn new(base: BaseScheduler) -> Self {
-        Self { base, queue: Vec::new(), kinetic: KineticIndex::new() }
+        Self { base, queue: Vec::new(), scored: Vec::new() }
     }
 
     /// The ordering discipline.
@@ -84,32 +84,18 @@ impl QueueManager {
                     let (qs, qid) = key(q);
                     qs.total_cmp(&submit).then(qid.cmp(&id)).is_lt()
                 });
-                if pos < self.queue.len() {
-                    // A mid-queue insert disturbs the sealed order; a
-                    // tail append does not (see `stable_prefix`).
-                    self.kinetic.touch(pos);
-                }
                 self.queue.insert(pos, idx);
             }
-            // WFP arrivals append; `order` folds them into the kinetic
-            // index at the next invocation (where, with zero wait, they
-            // land at the tail anyway under live event-driven use).
             BaseScheduler::Wfp => self.queue.push(idx),
         }
     }
 
-    /// Establishes priority order for a scheduling invocation at `now`
-    /// and seals the invocation's [`QueueManager::stable_prefix`].
+    /// Establishes priority order for a scheduling invocation at `now`.
     ///
-    /// FCFS is already sorted (checked in debug builds). WFP delegates
-    /// to the kinetic index: only adjacent pairs whose score-crossing
-    /// certificates expired by `now` are re-checked (and bubbled if they
-    /// actually inverted), and arrivals are binary-inserted — amortised
-    /// `O((k + 1)·log Q)` against the old `O(Q)` re-score plus
-    /// `O(Q log Q)` sort, with the quiescent no-crossing case a single
-    /// heap peek. The permutation is byte-identical to the cached-score
-    /// stable sort (see `crate::kinetic` for the argument); debug builds
-    /// assert that against a full re-sort oracle on every invocation.
+    /// FCFS is already sorted (checked in debug builds). WFP scores every
+    /// waiting job once into the reused buffer and stable-sorts the
+    /// cached values; debug builds assert the result against the
+    /// recompute-in-comparator [`BaseScheduler::order`].
     pub fn order(&mut self, jobs: &[Job], now: f64) {
         match self.base {
             BaseScheduler::Fcfs => {
@@ -121,74 +107,52 @@ impl QueueManager {
                     }),
                     "incremental FCFS order violated"
                 );
-                self.kinetic.seal_static(self.queue.len());
             }
             BaseScheduler::Wfp => {
-                self.kinetic.order(self.base, &mut self.queue, jobs, now);
+                let base = self.base;
+                self.scored.clear();
+                self.scored.extend(self.queue.iter().map(|&i| {
+                    let j = &jobs[i];
+                    (base.score(j, now), j.submit, j.id, i)
+                }));
+                self.scored.sort_by(|a, b| priority_cmp((a.0, a.1, a.2), (b.0, b.1, b.2)));
+                for (slot, e) in self.queue.iter_mut().zip(&self.scored) {
+                    *slot = e.3;
+                }
                 #[cfg(debug_assertions)]
                 self.assert_wfp_oracle(jobs, now);
             }
         }
     }
 
-    /// Number of leading queue positions that provably hold the same
-    /// jobs, in the same order, as the previous invocation's sealed
-    /// order (valid after [`QueueManager::order`]; a restore or rebuild
-    /// seals `0`). Backfill's memoized replay uses this as an O(1)
-    /// cache-prefix-unchanged witness.
-    pub fn stable_prefix(&self) -> usize {
-        self.kinetic.stable_prefix()
-    }
-
-    /// Debug oracle: the kinetic order must equal the full cached-score
-    /// stable sort, every invocation (crate::kinetic's exactness claim).
+    /// Debug oracle: the cached-score order must equal the
+    /// recompute-in-comparator [`BaseScheduler::order`], every invocation.
     #[cfg(debug_assertions)]
     fn assert_wfp_oracle(&self, jobs: &[Job], now: f64) {
-        let mut scores: Vec<(f64, f64, u64, usize)> = self
-            .queue
-            .iter()
-            .map(|&i| {
-                let j = &jobs[i];
-                (self.base.score(j, now), j.submit, j.id, i)
-            })
-            .collect();
-        scores.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| a.2.cmp(&b.2))
-        });
-        let oracle: Vec<usize> = scores.iter().map(|e| e.3).collect();
-        assert_eq!(
-            self.queue, oracle,
-            "kinetic WFP order diverged from the full re-sort oracle at now={now}"
-        );
+        let mut oracle = self.queue.clone();
+        self.base.order(&mut oracle, jobs, now);
+        debug_assert_eq!(self.queue, oracle, "cached-score WFP order diverged at now={now}");
     }
 
-    /// Removes every started job, preserving the order of the rest.
-    /// One linear pass with O(1) bitset probes; the kinetic index
-    /// repairs its positions and re-certifies the severed adjacencies
-    /// in the same pass.
+    /// Removes every started job, preserving the order of the rest: one
+    /// linear `retain` pass with O(1) bitset probes.
     pub fn remove_started(&mut self, started: &JobSet) {
         if !started.is_empty() {
-            self.kinetic.remove_started(&mut self.queue, started);
+            self.queue.retain(|&i| !started.contains(i));
         }
     }
 
     /// Extracts the queue's owned state: the discipline and the waiting
-    /// indices in their current order. The kinetic index is derived,
-    /// per-run scratch and is not part of the state (schema v1's
-    /// `(base, queue)` pair is unchanged).
+    /// indices in their current order (the sort scratch is not state).
     pub fn snapshot(&self) -> QueueState {
         QueueState { base: self.base, queue: self.queue.clone() }
     }
 
-    /// Rebuilds a queue from extracted state. The kinetic index starts
-    /// dirty, so the next [`QueueManager::order`] call re-establishes
-    /// any time-dependent (WFP) ordering — and rebuilds the index —
-    /// exactly as the full sort would have mid-run.
+    /// Rebuilds a queue from extracted state. The next
+    /// [`QueueManager::order`] call re-establishes any time-dependent
+    /// (WFP) ordering exactly as it would have mid-run.
     pub fn restore(state: QueueState) -> Self {
-        Self { base: state.base, queue: state.queue, kinetic: KineticIndex::new() }
+        Self { base: state.base, queue: state.queue, scored: Vec::new() }
     }
 }
 
@@ -304,19 +268,18 @@ mod tests {
             prop_assert_eq!(incremental.as_slice(), &full[..]);
         }
 
-        /// Tentpole invariant (kinetic WFP queue): the incremental order
-        /// must equal the full cached-score re-sort at **every**
-        /// invocation of a lifelike interleaving — arrival batches
+        /// The WFP order must equal the recompute-in-comparator
+        /// [`BaseScheduler::order`] at **every** invocation of a lifelike
+        /// interleaving — arrival batches
         /// (including same-instant submits), mid-queue removals (job
         /// starts), and invocations at strictly advancing times. Job
         /// parameters are drawn from tiny sets (`r ∈ {2, 3}` distinct
         /// walltimes, power-of-two node counts, submits pinned to the
         /// arrival instant) so exact score ties and bit-equal
         /// `(submit, nodes, walltime)` classes are common — the regime
-        /// where certificate and tie-break handling could silently
-        /// diverge from the sort's stability.
+        /// where a tie-break slip would silently reorder the queue.
         #[test]
-        fn prop_kinetic_interleaved_equals_full_resort_every_invocation(
+        fn prop_wfp_interleaved_equals_full_resort_every_invocation(
             r in 2usize..=3,
             steps in proptest::collection::vec((0u8..6, 0usize..5, 0u32..240), 1..40),
         ) {

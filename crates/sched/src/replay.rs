@@ -84,7 +84,10 @@ impl JobEvent {
         }
     }
 
-    /// Parses one wire line (see the module docs for the format).
+    /// Parses one wire line (see the module docs for the format). A
+    /// submitted job must pass [`Job::validate`], so both drivers reject
+    /// zero, negative or non-finite runtimes and walltimes as malformed
+    /// input.
     pub fn parse(line: &str) -> Result<Self, String> {
         let v = serde_json::value_from_slice(line.as_bytes()).map_err(|e| e.to_string())?;
         let map = v.as_map().ok_or("event line is not a JSON object")?;
@@ -95,6 +98,7 @@ impl JobEvent {
             "submit" => {
                 let job_v = get(map, "job").ok_or("submit event is missing `job`")?;
                 let job = Job::from_value(job_v).map_err(|e| format!("bad `job`: {e}"))?;
+                job.validate().map_err(|e| format!("bad `job`: {e}"))?;
                 Ok(JobEvent::Submit(job))
             }
             "finish" => {

@@ -114,11 +114,11 @@ impl Job {
         if self.nodes == 0 {
             return Err(format!("job {}: zero nodes requested", self.id));
         }
-        if self.runtime <= 0.0 || self.runtime.is_nan() {
-            return Err(format!("job {}: non-positive runtime", self.id));
+        if !(self.runtime > 0.0 && self.runtime.is_finite()) {
+            return Err(format!("job {}: runtime must be positive and finite", self.id));
         }
-        if self.walltime <= 0.0 || self.walltime.is_nan() {
-            return Err(format!("job {}: non-positive walltime", self.id));
+        if !(self.walltime > 0.0 && self.walltime.is_finite()) {
+            return Err(format!("job {}: walltime must be positive and finite", self.id));
         }
         if self.submit < 0.0 || !self.submit.is_finite() {
             return Err(format!("job {}: invalid submit time", self.id));
@@ -132,7 +132,7 @@ impl Job {
         if self.deps.contains(&self.id) {
             return Err(format!("job {}: depends on itself", self.id));
         }
-        if self.extra.iter().any(|x| x.is_nan() || *x < 0.0) {
+        if self.extra.iter().any(|x| *x < 0.0 || !x.is_finite()) {
             return Err(format!("job {}: invalid extra-resource request", self.id));
         }
         Ok(())
@@ -169,6 +169,13 @@ mod tests {
         assert!(Job::new(1, 0.0, 1, 1.0, 1.0).with_bb(-1.0).validate().is_err());
         assert!(Job::new(1, 0.0, 1, 1.0, 1.0).with_ssd(f64::NAN).validate().is_err());
         assert!(Job::new(1, 0.0, 1, 1.0, 1.0).with_deps(vec![1]).validate().is_err());
+        // Non-finite runtime, walltime and extra-resource requests.
+        assert!(Job::new(1, 0.0, 1, f64::INFINITY, 1.0).validate().is_err());
+        assert!(Job::new(1, 0.0, 1, f64::NAN, 1.0).validate().is_err());
+        assert!(Job::new(1, 0.0, 1, 1.0, f64::INFINITY).validate().is_err());
+        assert!(Job::new(1, 0.0, 1, 1.0, f64::NAN).validate().is_err());
+        assert!(Job::new(1, 0.0, 1, 1.0, 1.0).with_extra(0, f64::INFINITY).validate().is_err());
+        assert!(Job::new(1, 0.0, 1, 1.0, 1.0).with_extra(0, f64::NAN).validate().is_err());
         assert!(Job::new(1, 0.0, 1, 1.0, 1.0).validate().is_ok());
     }
 

@@ -7,7 +7,7 @@ use bbsched_metrics::{
 };
 use bbsched_policies::{GaParams, PolicyKind, SelectionPolicy};
 use bbsched_sched::durability::{self, Driver, Encoding};
-use bbsched_sched::{Decision, JobEvent, ReplaySnapshot, Replayer, SchedObserver};
+use bbsched_sched::{clamp_demand, Decision, JobEvent, ReplaySnapshot, Replayer, SchedObserver};
 use bbsched_sim::{
     BackfillAlgorithm, BaseScheduler, DynamicWindow, SimConfig, SimResult, Simulator,
 };
@@ -503,14 +503,11 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
 pub(crate) struct DecisionStream<W: Write> {
     pub(crate) out: W,
     pub(crate) io_error: Option<std::io::Error>,
-    /// Flush after every line — the daemon's mode, where a downstream
-    /// consumer acts on each decision as it appears.
-    pub(crate) flush_each: bool,
 }
 
 impl<W: Write> DecisionStream<W> {
     pub(crate) fn new(out: W) -> Self {
-        Self { out, io_error: None, flush_each: false }
+        Self { out, io_error: None }
     }
 }
 
@@ -519,16 +516,30 @@ impl<W: Write> SchedObserver for DecisionStream<W> {
         if self.io_error.is_some() {
             return;
         }
-        let result = writeln!(self.out, "{}", decision.json_line(now)).and_then(|()| {
-            if self.flush_each {
-                self.out.flush()
-            } else {
-                Ok(())
-            }
-        });
-        if let Err(e) = result {
+        if let Err(e) = writeln!(self.out, "{}", decision.json_line(now)) {
             self.io_error = Some(e);
         }
+    }
+}
+
+/// The warning for a submit whose demand exceeds the machine and will be
+/// capacity-clamped ([`bbsched_sched::clamp_demand`]); `None` for any
+/// other event. `replay` and `serve` print it under their line label.
+pub(crate) fn clamp_warning(replayer: &Replayer<'_>, event: &JobEvent) -> Option<String> {
+    match event {
+        JobEvent::Submit(job) if clamp_demand(replayer.system(), job).1 => {
+            Some(format!("job {} demand exceeds machine capacity; clamped to fit", job.id))
+        }
+        _ => None,
+    }
+}
+
+/// At the end of a stream, names on stderr every waiting job whose
+/// dependency was never submitted: it can never start. The exit code is
+/// unaffected.
+pub(crate) fn warn_unknown_deps(replayer: &Replayer<'_>) {
+    for (job, dep) in replayer.unknown_deps() {
+        eprintln!("warning: job {job} waits on dependency {dep}, which was never submitted");
     }
 }
 
@@ -688,9 +699,13 @@ fn cmd_replay(args: &Args) -> Result<(), CliError> {
             }
             let event = JobEvent::parse(&line)
                 .map_err(|e| CliError::Input(format!("{path} line {}: {e}", n + 1)))?;
+            let warning = clamp_warning(&replayer, &event);
             replayer
                 .feed(event)
                 .map_err(|e| CliError::Run(format!("{path} line {}: {e}", n + 1)))?;
+            if let Some(w) = warning {
+                eprintln!("warning: {path} line {}: {w}", n + 1);
+            }
             if let (Some(every), Some(ckpt_path)) = (checkpoint_every, checkpoint_path) {
                 if replayer.events_fed() % every == 0 {
                     let driver = ReplayDriver { replayer: &replayer, policy: kind, ga };
@@ -720,6 +735,7 @@ fn cmd_replay(args: &Args) -> Result<(), CliError> {
             }
         } else {
             let fed = replayer.events_fed();
+            warn_unknown_deps(&replayer);
             let summary = replayer.finish().map_err(|e| CliError::Run(e.to_string()))?;
             eprintln!(
                 "replayed {fed} events ({skip} skipped): {} jobs ({} clamped), {} finishes, \

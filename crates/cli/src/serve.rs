@@ -1,13 +1,21 @@
 //! `cli serve` — the long-running scheduler daemon.
 //!
 //! Reads job events from stdin or a path, emits one JSON decision per
-//! line to stdout (flushed per line, so a downstream consumer can act
-//! on each decision as it appears), and layers the `bbsched_sched`
-//! durability module over the online replay driver:
+//! line to stdout, and layers the `bbsched_sched` durability module over
+//! the online replay driver. Input is consumed in *read groups*: the
+//! complete lines one fill of the reader's buffer delivers. A lone
+//! interactive line is a group of one; a backlog arrives many lines to
+//! a group. When a group is spent the journal is fsync'd once, then the
+//! group's decisions reach stdout in one write and one flush — so a
+//! downstream consumer sees each decision as soon as the input that
+//! caused it is durable, and never before (DESIGN.md §13):
 //!
 //! * `--journal DIR` — every consumed input line is appended to a
-//!   write-ahead journal (fsync'd per line) in `DIR/events.wal`, and
-//!   rolling snapshots land in the same directory;
+//!   write-ahead journal in `DIR/events.wal` (fsync'd once per read
+//!   group), and rolling snapshots land in the same directory. A
+//!   snapshot, a policy swap, SIGTERM, end of input and a fatal error
+//!   each commit the open group first, so no snapshot covers a record
+//!   that is not yet durable;
 //! * `--recover DIR` — crash recovery: newest valid snapshot + journal
 //!   tail replay, then the live stream continues (the first
 //!   already-journaled lines of `--events` are skipped);
@@ -29,7 +37,8 @@
 
 use crate::args::Args;
 use crate::commands::{
-    parse_machine, parse_policy, parse_threads, sim_config, DecisionStream, SCHED_ARGS,
+    clamp_warning, parse_machine, parse_policy, parse_threads, sim_config, warn_unknown_deps,
+    DecisionStream, SCHED_ARGS,
 };
 use crate::error::CliError;
 use bbsched_metrics::LiveStatsLines;
@@ -37,8 +46,11 @@ use bbsched_policies::{GaParams, PolicyKind};
 use bbsched_sched::durability::{Driver, Encoding, Journal, SnapshotStore};
 use bbsched_sched::{JobEvent, ReplaySnapshot, Replayer, SchedConfig, SchedObserver};
 use bbsched_workloads::SystemConfig;
-use std::io::{BufRead, Write};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::io::{self, BufRead, Write};
 use std::path::Path;
+use std::rc::Rc;
 
 /// A `cli serve` checkpoint: the replayer's state plus the policy
 /// identity to rebuild it under, and the daemon's input position
@@ -150,10 +162,159 @@ struct Durable {
 
 impl Durable {
     fn save(&self, driver: &DaemonDriver<'_, '_>) -> Result<(), CliError> {
+        // The recovery invariant: a snapshot at position p is written
+        // only once journal record p is durable.
+        assert!(
+            driver.position() <= self.journal.synced_records(),
+            "snapshot at {} outruns the synced journal ({} records)",
+            driver.position(),
+            self.journal.synced_records()
+        );
         self.store
             .save(driver.position(), &driver.snapshot(), self.encoding)
             .map_err(|e| CliError::Output(format!("cannot write snapshot: {e}")))?;
         Ok(())
+    }
+}
+
+/// Decision bytes held in process until the journal records behind them
+/// are durable: the daemon's [`DecisionStream`] writes here, and
+/// [`GroupCommit::commit`] releases them to stdout.
+#[derive(Clone, Default)]
+struct HeldDecisions(Rc<RefCell<Vec<u8>>>);
+
+impl Write for HeldDecisions {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The daemon's commit point: the journal (when journaling) and the
+/// decisions held behind it.
+///
+/// Dropping it — an error return or a panic — commits too, releasing
+/// the held decisions only if the sync succeeded, so a failed run
+/// leaves the stdout and journal that syncing per line would.
+struct GroupCommit<W: Write> {
+    durable: Option<Durable>,
+    held: HeldDecisions,
+    out: W,
+    /// The first stdout failure; later releases are dropped.
+    out_error: Option<io::Error>,
+}
+
+impl<W: Write> GroupCommit<W> {
+    /// Journals one consumed line (not yet durable).
+    fn append(&mut self, line: &str) -> Result<(), CliError> {
+        if let Some(d) = &mut self.durable {
+            d.journal
+                .append(line.as_bytes())
+                .map_err(|e| CliError::Output(format!("cannot journal event: {e}")))?;
+        }
+        Ok(())
+    }
+
+    /// Makes every appended record durable with one fsync, then writes
+    /// the held decisions to stdout with one write and one flush.
+    fn commit(&mut self) -> Result<(), CliError> {
+        if let Some(d) = &mut self.durable {
+            if let Err(e) = d.journal.sync() {
+                // Records that may not be durable never get their
+                // decisions released, not even by a retried sync.
+                self.held.0.borrow_mut().clear();
+                return Err(CliError::Output(format!("cannot journal event: {e}")));
+            }
+        }
+        let mut held = self.held.0.borrow_mut();
+        if !held.is_empty() {
+            if self.out_error.is_none() {
+                if let Err(e) = self.out.write_all(&held).and_then(|()| self.out.flush()) {
+                    self.out_error = Some(e);
+                }
+            }
+            held.clear();
+        }
+        Ok(())
+    }
+
+    /// Commits, then writes a snapshot at the driver's position.
+    fn save(&mut self, driver: &DaemonDriver<'_, '_>) -> Result<(), CliError> {
+        self.commit()?;
+        match &self.durable {
+            Some(d) => d.save(driver),
+            None => Ok(()),
+        }
+    }
+
+    fn snapshot_due(&self, consumed: u64) -> bool {
+        self.durable
+            .as_ref()
+            .is_some_and(|d| d.snapshot_every > 0 && consumed.is_multiple_of(d.snapshot_every))
+    }
+}
+
+impl<W: Write> Drop for GroupCommit<W> {
+    fn drop(&mut self) {
+        self.commit().ok();
+    }
+}
+
+/// Splits the input into read groups: the complete lines one
+/// `fill_buf` delivers. A partial trailing line carries over to the
+/// next read. Lines end as `BufRead::lines` ends them: at `\n`, with
+/// one `\r` before it dropped; the final line needs no newline.
+struct GroupReader {
+    reader: Box<dyn BufRead>,
+    /// The current group's unconsumed lines, oldest first.
+    lines: VecDeque<Vec<u8>>,
+    /// A line whose newline has not been read yet.
+    partial: Vec<u8>,
+}
+
+impl GroupReader {
+    fn new(reader: Box<dyn BufRead>) -> Self {
+        Self { reader, lines: VecDeque::new(), partial: Vec::new() }
+    }
+
+    /// The next line of the current group, `None` once it is spent.
+    fn next_line(&mut self) -> Option<Vec<u8>> {
+        self.lines.pop_front()
+    }
+
+    /// Reads the next group (it may hold no complete line); `false` at
+    /// end of input.
+    fn read_group(&mut self) -> io::Result<bool> {
+        let buf = match self.reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(true),
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            if self.partial.is_empty() {
+                return Ok(false);
+            }
+            self.lines.push_back(std::mem::take(&mut self.partial));
+            return Ok(true);
+        }
+        let mut rest = buf;
+        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+            let mut line = std::mem::take(&mut self.partial);
+            line.extend_from_slice(&rest[..nl]);
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            self.lines.push_back(line);
+            rest = &rest[nl + 1..];
+        }
+        self.partial.extend_from_slice(rest);
+        let filled = buf.len();
+        self.reader.consume(filled);
+        Ok(true)
     }
 }
 
@@ -233,7 +394,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let mut pending_restore: Option<ReplaySnapshot> = None;
     let mut fresh: Option<(SystemConfig, SchedConfig)> = None;
     let mut consumed: u64;
-    let mut tail: std::collections::VecDeque<String> = std::collections::VecDeque::new();
+    let mut tail: VecDeque<String> = VecDeque::new();
     let skip_lines: u64;
 
     if recover_dir.is_some() {
@@ -300,8 +461,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
         consumed = 0;
         skip_lines = 0;
     }
-    let mut durable = durable.map(|(d, _)| d);
-
     let path = args.require("events")?;
     let reader: Box<dyn BufRead> = if path == "-" {
         Box::new(std::io::stdin().lock())
@@ -310,14 +469,18 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
             .map_err(|e| CliError::Input(format!("cannot open '{path}': {e}")))?;
         Box::new(std::io::BufReader::new(file))
     };
-    let mut input = reader.lines();
+    let mut input = GroupReader::new(reader);
     let mut input_line = 0u64; // non-empty lines pulled from --events
-    let mut seen_eof = false;
 
-    let stdout = std::io::stdout();
-    let mut stream = DecisionStream::new(stdout.lock());
-    stream.flush_each = true;
+    let held = HeldDecisions::default();
+    let mut stream = DecisionStream::new(held.clone());
     let mut stats = (stats_every > 0).then(|| LiveStatsLines::new(stats_every, std::io::stderr()));
+    let mut commit = GroupCommit {
+        durable: durable.map(|(d, _)| d),
+        held,
+        out: std::io::stdout().lock(),
+        out_error: None,
+    };
 
     // Each hot-swap ends a *segment*: the replayer (which borrows the
     // observers) is torn down, and the next iteration rebuilds it from
@@ -343,10 +506,8 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
                     .map_err(|e| CliError::Run(e.to_string()))?
             }
         };
-        if let Some(d) = &durable {
-            if !segment_checkpointed {
-                d.save(&DaemonDriver { replayer: &replayer, policy: kind, ga, consumed })?;
-            }
+        if !segment_checkpointed {
+            commit.save(&DaemonDriver { replayer: &replayer, policy: kind, ga, consumed })?;
         }
 
         let end: SegmentEnd = 'lines: loop {
@@ -354,38 +515,43 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 break 'lines SegmentEnd::Term;
             }
             // Journal tail first (replayed without re-journaling), then
-            // the live stream.
+            // the live stream, one read group at a time.
             let (line, live) = match tail.pop_front() {
                 Some(line) => (line, false),
-                None if seen_eof => break 'lines SegmentEnd::Eof,
-                None => {
-                    let mut next = None;
-                    for read in input.by_ref() {
-                        let read = read
-                            .map_err(|e| CliError::Input(format!("cannot read '{path}': {e}")))?;
-                        if read.trim().is_empty() {
+                None => match input.next_line() {
+                    Some(bytes) => {
+                        let line = String::from_utf8(bytes).map_err(|_| {
+                            CliError::Input(format!(
+                                "cannot read '{path}': stream did not contain valid UTF-8"
+                            ))
+                        })?;
+                        if line.trim().is_empty() {
                             continue;
                         }
                         input_line += 1;
                         if input_line <= skip_lines {
                             continue; // already journaled and applied
                         }
-                        next = Some(read);
-                        break;
+                        (line, true)
                     }
-                    match next {
-                        Some(line) => (line, true),
-                        None => {
-                            seen_eof = true;
-                            // A TERM that raced the final reads still
-                            // means "drain, don't flush".
-                            if term::requested() {
-                                break 'lines SegmentEnd::Term;
-                            }
-                            break 'lines SegmentEnd::Eof;
+                    None => {
+                        // The group is spent: make it durable and
+                        // release its decisions before waiting for more.
+                        commit.commit()?;
+                        let more = input
+                            .read_group()
+                            .map_err(|e| CliError::Input(format!("cannot read '{path}': {e}")))?;
+                        if more {
+                            continue;
                         }
+                        // A TERM that raced the final reads still means
+                        // "drain, don't flush".
+                        if term::requested() {
+                            break 'lines SegmentEnd::Term;
+                        }
+                        break 'lines SegmentEnd::Eof;
                     }
-                }
+                },
             };
 
             match classify_line(&line)
@@ -393,11 +559,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
             {
                 ServeLine::SetPolicy(new_kind) => {
                     if live {
-                        if let Some(d) = &mut durable {
-                            d.journal.append_sync(line.as_bytes()).map_err(|e| {
-                                CliError::Output(format!("cannot journal event: {e}"))
-                            })?;
-                        }
+                        commit.append(&line)?;
                     }
                     consumed += 1;
                     break 'lines SegmentEnd::Swap(new_kind, Box::new(replayer.snapshot()));
@@ -406,33 +568,31 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
                     // Apply, then journal: a rejected event (time
                     // regression, duplicate id) is a fatal input error
                     // and must never poison the journal for recovery.
+                    let warning = if live { clamp_warning(&replayer, &event) } else { None };
                     replayer
                         .feed(event)
                         .map_err(|e| CliError::Run(format!("input line {}: {e}", consumed + 1)))?;
+                    if let Some(w) = warning {
+                        eprintln!("warning: input line {}: {w}", consumed + 1);
+                    }
                     if live {
-                        if let Some(d) = &mut durable {
-                            d.journal.append_sync(line.as_bytes()).map_err(|e| {
-                                CliError::Output(format!("cannot journal event: {e}"))
-                            })?;
-                        }
+                        commit.append(&line)?;
                     }
                     consumed += 1;
-                    if live {
-                        if let Some(d) = &durable {
-                            if d.snapshot_every > 0 && consumed.is_multiple_of(d.snapshot_every) {
-                                d.save(&DaemonDriver {
-                                    replayer: &replayer,
-                                    policy: kind,
-                                    ga,
-                                    consumed,
-                                })?;
-                            }
-                        }
+                    if live && commit.snapshot_due(consumed) {
+                        commit.save(&DaemonDriver {
+                            replayer: &replayer,
+                            policy: kind,
+                            ga,
+                            consumed,
+                        })?;
                     }
                 }
             }
         };
 
+        // Every way out of a segment commits the open group first.
+        commit.commit()?;
         match end {
             SegmentEnd::Swap(new_kind, snapshot) => {
                 eprintln!(
@@ -451,8 +611,13 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 continue 'segments;
             }
             SegmentEnd::Term => {
-                if let Some(d) = &durable {
-                    d.save(&DaemonDriver { replayer: &replayer, policy: kind, ga, consumed })?;
+                if commit.durable.is_some() {
+                    commit.save(&DaemonDriver {
+                        replayer: &replayer,
+                        policy: kind,
+                        ga,
+                        consumed,
+                    })?;
                     eprintln!(
                         "sigterm: drained at line {consumed}; final snapshot written (recover \
                          with --recover)"
@@ -463,12 +628,11 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 break 'segments;
             }
             SegmentEnd::Eof => {
-                if let Some(d) = &durable {
-                    // Pre-flush state: recovering a completed run
-                    // re-derives the final flush (see module docs).
-                    d.save(&DaemonDriver { replayer: &replayer, policy: kind, ga, consumed })?;
-                }
+                // Pre-flush state: recovering a completed run re-derives
+                // the final flush (see module docs).
+                commit.save(&DaemonDriver { replayer: &replayer, policy: kind, ga, consumed })?;
                 let fed = replayer.events_fed();
+                warn_unknown_deps(&replayer);
                 let summary = replayer.finish().map_err(|e| CliError::Run(e.to_string()))?;
                 eprintln!(
                     "served {consumed} lines ({fed} job events): {} jobs ({} clamped), {} \
@@ -491,9 +655,128 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
             eprintln!("warning: stats stream: {e}");
         }
     }
-    stream.out.flush().ok();
-    if let Some(e) = stream.io_error {
+    // The final flush's decisions.
+    commit.commit()?;
+    if let Some(e) = commit.out_error.take() {
         return Err(CliError::Output(format!("cannot write decision stream: {e}")));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bbsched_sched::durability::Journal;
+
+    fn tempdir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("bbsched_serve_unit_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn durable(dir: &Path) -> Durable {
+        let (journal, _) = Journal::open(&dir.join("events.wal")).unwrap();
+        let store = SnapshotStore::open(dir, 3).unwrap();
+        Durable { journal, store, snapshot_every: 0, encoding: Encoding::Binary }
+    }
+
+    fn replayer() -> Replayer<'static> {
+        let system = parse_machine("cori").unwrap().scaled(0.05).system;
+        let ga = GaParams::default();
+        Replayer::new(&system, SchedConfig::default(), PolicyKind::Baseline.build(ga), Vec::new())
+            .unwrap()
+    }
+
+    fn synced(commit: &GroupCommit<&mut Vec<u8>>) -> (u64, u64) {
+        let journal = &commit.durable.as_ref().unwrap().journal;
+        (journal.records(), journal.synced_records())
+    }
+
+    /// No decision reaches the output before the records of its group
+    /// are synced; a commit syncs the group, then releases it whole.
+    #[test]
+    fn decisions_are_released_only_after_their_group_is_synced() {
+        let dir = tempdir("release");
+        let mut out = Vec::new();
+        let held = HeldDecisions::default();
+        let mut decisions = held.clone();
+        let mut commit =
+            GroupCommit { durable: Some(durable(&dir)), held, out: &mut out, out_error: None };
+        for line in ["a", "b", "c"] {
+            commit.append(line).unwrap();
+            writeln!(decisions, "decision after {line}").unwrap();
+        }
+        assert_eq!(synced(&commit), (3, 0));
+        assert!(commit.out.is_empty(), "held until the group is durable");
+        commit.commit().unwrap();
+        assert_eq!(synced(&commit), (3, 3));
+        assert_eq!(
+            String::from_utf8_lossy(commit.out),
+            "decision after a\ndecision after b\ndecision after c\n"
+        );
+
+        // A snapshot commits the open group before it is written.
+        commit.append("d").unwrap();
+        writeln!(decisions, "decision after d").unwrap();
+        let rp = replayer();
+        let ga = GaParams::default();
+        let driver = DaemonDriver { replayer: &rp, policy: PolicyKind::Baseline, ga, consumed: 4 };
+        commit.save(&driver).unwrap();
+        assert_eq!(synced(&commit), (4, 4));
+        assert!(String::from_utf8_lossy(commit.out).ends_with("decision after d\n"));
+        assert_eq!(commit.durable.as_ref().unwrap().store.positions().unwrap(), vec![4]);
+
+        // An early exit (error return or panic) commits on drop.
+        commit.append("e").unwrap();
+        writeln!(decisions, "decision after e").unwrap();
+        drop(commit);
+        assert!(String::from_utf8_lossy(&out).ends_with("decision after e\n"));
+        let (journal, recovery) = Journal::open(&dir.join("events.wal")).unwrap();
+        assert_eq!(recovery.records.len(), 5);
+        assert_eq!(journal.synced_records(), 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot ahead of the synced journal is a broken invariant.
+    #[test]
+    #[should_panic(expected = "outruns the synced journal")]
+    fn snapshot_past_the_synced_journal_panics() {
+        let dir = tempdir("outrun");
+        let mut d = durable(&dir);
+        d.journal.append(b"a").unwrap();
+        let rp = replayer();
+        let ga = GaParams::default();
+        d.save(&DaemonDriver { replayer: &rp, policy: PolicyKind::Baseline, ga, consumed: 1 })
+            .unwrap();
+    }
+
+    /// The splitter yields what `BufRead::lines` yields, whatever the
+    /// read size: lines split across reads, a CR split from its LF, blank
+    /// lines, and a final line without a newline.
+    #[test]
+    fn group_reader_splits_like_lines() {
+        let inputs: [&[u8]; 5] = [
+            b"one\ntwo\r\nthree",
+            b"\n\nx\r\n\r\ny\n",
+            b"a longer line than the buffer\r\nshort\n  \nlast\r",
+            b"",
+            b"only\n",
+        ];
+        for input in inputs {
+            let expected: Vec<Vec<u8>> = input.lines().map(|l| l.unwrap().into_bytes()).collect();
+            for capacity in [1, 2, 3, 7, 64] {
+                let reader = std::io::BufReader::with_capacity(capacity, input);
+                let mut groups = GroupReader::new(Box::new(reader));
+                let mut got = Vec::new();
+                while groups.read_group().unwrap() {
+                    while let Some(line) = groups.next_line() {
+                        got.push(line);
+                    }
+                }
+                assert_eq!(got, expected, "{input:?} read {capacity} bytes at a time");
+            }
+        }
+    }
 }

@@ -92,6 +92,77 @@ fn invalid_submitted_job_exits_3() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A wire submit line for a 50 s job.
+fn submit_line(id: u64, submit: f64, nodes: u64, deps: &str) -> String {
+    format!(
+        "{{\"type\":\"submit\",\"job\":{{\"id\":{id},\"submit\":{submit},\"nodes\":{nodes},\"runtime\":50.0,\"walltime\":100.0,\"bb_gb\":0.0,\"ssd_gb_per_node\":0.0,\"deps\":[{deps}],\"extra\":[]}}}}"
+    )
+}
+
+/// Runs `replay` and `serve` over the same event file; both must exit 0
+/// and print `warning` on stderr. Returns both stderrs.
+fn replay_and_serve_warn(tag: &str, events: &str, warning: &str) -> [String; 2] {
+    let dir = std::env::temp_dir().join(format!("bbsched_exit_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("events.jsonl");
+    std::fs::write(&path, events).unwrap();
+    let stderrs = ["replay", "serve"].map(|cmd| {
+        let out = bbsched(&[
+            cmd,
+            "--events",
+            path.to_str().unwrap(),
+            "--machine",
+            "cori",
+            "--scale",
+            "0.05",
+            "--policy",
+            "Baseline",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{cmd}: the exit code is unchanged: {stderr}");
+        assert!(stderr.contains(warning), "{cmd}: stderr names it: {stderr}");
+        stderr
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    stderrs
+}
+
+#[test]
+fn unknown_dependency_is_named_at_end_of_stream() {
+    // Job 1 depends on job 42, which never arrives: it can never start.
+    let events = format!(
+        "{}\n{}\n{{\"type\":\"finish\",\"id\":0,\"time\":50.0}}\n",
+        submit_line(0, 0.0, 1, ""),
+        submit_line(1, 1.0, 1, "0,42"),
+    );
+    for stderr in replay_and_serve_warn(
+        "deps",
+        &events,
+        "warning: job 1 waits on dependency 42, which was never submitted",
+    ) {
+        assert!(stderr.contains("left 1 waiting"), "{stderr}");
+        assert_eq!(stderr.matches("warning:").count(), 1, "only the missing id: {stderr}");
+    }
+}
+
+#[test]
+fn capacity_clamped_submit_is_named() {
+    // 10^8 nodes exceed any machine: the job is clamped, not rejected.
+    let events =
+        format!("{}\n{}\n", submit_line(0, 0.0, 1, ""), submit_line(7, 1.0, 100_000_000, ""));
+    let [replay, serve] = replay_and_serve_warn(
+        "clamp",
+        &events,
+        "job 7 demand exceeds machine capacity; clamped to fit",
+    );
+    assert!(replay.contains("line 2: job 7"), "replay names the line: {replay}");
+    assert!(serve.contains("input line 2: job 7"), "serve names the line: {serve}");
+    for stderr in [replay, serve] {
+        assert!(stderr.contains("(1 clamped)"), "{stderr}");
+        assert_eq!(stderr.matches("warning:").count(), 1, "only job 7: {stderr}");
+    }
+}
+
 #[test]
 fn time_regressing_event_stream_exits_1() {
     let dir = std::env::temp_dir().join(format!("bbsched_exit_tr_{}", std::process::id()));

@@ -6,11 +6,11 @@
 //! that state *durable*. Three pieces compose (DESIGN.md §13):
 //!
 //! * [`Journal`] — an append-only write-ahead log of wire lines
-//!   (fsync'd per [`Journal::sync`]). The on-disk format is a magic
-//!   header followed by length-prefixed, checksummed frames; recovery
-//!   tolerates a torn tail — a truncated or corrupt final frame is
-//!   detected, dropped, and the file truncated back to the last valid
-//!   frame, never a panic.
+//!   (fsync'd per [`Journal::sync`], once per group of appends). The
+//!   on-disk format is a magic header followed by length-prefixed,
+//!   checksummed frames; recovery tolerates a torn tail — a truncated
+//!   or corrupt final frame is detected, dropped, and the file
+//!   truncated back to the last valid frame, never a panic.
 //! * [`SnapshotStore`] — rolling checkpoints named by stream position,
 //!   written atomically (temp file + fsync + rename + directory fsync)
 //!   and pruned to the newest K. [`SnapshotStore::load_newest`] falls
@@ -458,10 +458,16 @@ pub struct JournalRecovery {
 ///
 /// [`Journal::append`] buffers in the OS; call [`Journal::sync`] (or
 /// [`Journal::append_sync`]) to make records durable before acting on
-/// them — write-ahead means *journal first, apply second*.
+/// them — write-ahead means *journal first, apply second*. A group
+/// commit appends several records and syncs once: a crash before that
+/// sync may drop any suffix of the group, never a record before it.
 pub struct Journal {
     file: File,
     records: u64,
+    /// Records known durable: every record at the last sync.
+    synced: u64,
+    /// The frame being written, reused across appends.
+    frame: Vec<u8>,
 }
 
 impl Journal {
@@ -489,7 +495,7 @@ impl Journal {
             file.write_all(&header)?;
             file.sync_data()?;
             return Ok((
-                Journal { file, records: 0 },
+                Journal { file, records: 0, synced: 0, frame: Vec::new() },
                 JournalRecovery { records: Vec::new(), dropped_bytes: dropped },
             ));
         }
@@ -540,7 +546,8 @@ impl Journal {
         }
         file.seek(SeekFrom::Start(off as u64))?;
         let n = records.len() as u64;
-        Ok((Journal { file, records: n }, JournalRecovery { records, dropped_bytes: dropped }))
+        let journal = Journal { file, records: n, synced: n, frame: Vec::new() };
+        Ok((journal, JournalRecovery { records, dropped_bytes: dropped }))
     }
 
     /// Records appended so far (salvaged + newly appended).
@@ -548,23 +555,34 @@ impl Journal {
         self.records
     }
 
+    /// Records made durable by the last [`Journal::sync`] (salvaged
+    /// records count as durable).
+    pub fn synced_records(&self) -> u64 {
+        self.synced
+    }
+
     /// Appends one record (not yet durable — see [`Journal::sync`]).
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         let len = u32::try_from(payload.len()).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidInput, "journal record exceeds 4 GiB")
         })?;
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+        self.frame.clear();
+        self.frame.extend_from_slice(&len.to_le_bytes());
+        self.frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        self.frame.extend_from_slice(payload);
+        self.file.write_all(&self.frame)?;
         self.records += 1;
         Ok(())
     }
 
-    /// Fsyncs everything appended so far.
+    /// Fsyncs everything appended so far; a no-op when nothing was
+    /// appended since the last sync.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()
+        if self.synced < self.records {
+            self.file.sync_data()?;
+            self.synced = self.records;
+        }
+        Ok(())
     }
 
     /// Appends one record and fsyncs it — the write-ahead step.
@@ -1026,6 +1044,30 @@ mod tests {
         drop(j);
         let (_, rec) = Journal::open(&path).unwrap();
         assert_eq!(rec.records.len(), 3);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journal_group_commit_syncs_once_and_keeps_order() {
+        let dir = tempdir("jg");
+        let path = dir.join("events.wal");
+        let payloads: Vec<Vec<u8>> =
+            (0..50).map(|i| format!("record-{i}-{}", "x".repeat(i % 7)).into_bytes()).collect();
+        {
+            let (mut j, _) = Journal::open(&path).unwrap();
+            j.sync().unwrap();
+            assert_eq!((j.records(), j.synced_records()), (0, 0), "an empty sync is a no-op");
+            for p in &payloads {
+                j.append(p).unwrap();
+            }
+            assert_eq!((j.records(), j.synced_records()), (50, 0), "appends are not yet durable");
+            j.sync().unwrap();
+            assert_eq!(j.synced_records(), 50, "one sync covers the whole group");
+        }
+        let (j, rec) = Journal::open(&path).unwrap();
+        assert_eq!(rec.records, payloads, "every record, in append order");
+        assert_eq!(rec.dropped_bytes, 0);
+        assert_eq!(j.synced_records(), 50, "salvaged records count as durable");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -274,6 +274,27 @@ impl<'o> Replayer<'o> {
         self.events_fed
     }
 
+    /// The system whose capacities submits are clamped against (see
+    /// [`crate::clamp_demand`]).
+    pub fn system(&self) -> &SystemConfig {
+        &self.system
+    }
+
+    /// Waiting jobs — queued, or pending in the open batch — whose `deps`
+    /// name an id that was never submitted, as `(job id, missing id)`
+    /// pairs, queued jobs first in queue order. Such a job can never
+    /// start; drivers report it at the end of the stream.
+    pub fn unknown_deps(&self) -> Vec<(u64, u64)> {
+        let pending: std::collections::HashSet<u64> =
+            self.pending_submits.iter().map(|j| j.id).collect();
+        self.core
+            .waiting_jobs()
+            .chain(&self.pending_submits)
+            .flat_map(|job| job.deps.iter().map(move |&dep| (job.id, dep)))
+            .filter(|&(_, dep)| !self.core.knows_job(dep) && !pending.contains(&dep))
+            .collect()
+    }
+
     /// Extracts the replayer's complete state — the core's
     /// [`crate::CoreSnapshot`] plus the driver's own stream position: the
     /// pending same-instant batch, the flushed-instant watermark, and the
@@ -500,6 +521,25 @@ mod tests {
             joined.extend(tail_log.into_lines());
             assert_eq!(joined, full, "decision stream diverged at checkpoint boundary {cut}");
         }
+    }
+
+    #[test]
+    fn unknown_deps_name_waiting_jobs_and_the_missing_ids() {
+        let sys = system();
+        let mut r = Replayer::new(&sys, SchedConfig::default(), policy(), Vec::new()).unwrap();
+        let submit = |id: u64, t: f64, deps: Vec<u64>| {
+            JobEvent::Submit(Job::new(id, t, 2, 10.0, 20.0).with_deps(deps))
+        };
+        // Job 1 waits on job 0 (known, runs first) and on job 99 (never
+        // submitted); job 3, still in the open batch, waits on job 2
+        // (pending beside it) and on job 77.
+        r.feed(submit(0, 0.0, vec![])).unwrap();
+        r.feed(submit(1, 1.0, vec![0, 99])).unwrap();
+        r.feed(submit(2, 2.0, vec![])).unwrap();
+        r.feed(submit(3, 2.0, vec![2, 77])).unwrap();
+        assert_eq!(r.unknown_deps(), vec![(1, 99), (3, 77)]);
+        let summary = r.finish().unwrap();
+        assert_eq!(summary.left_waiting, 2, "jobs with unknown deps never start");
     }
 
     #[test]

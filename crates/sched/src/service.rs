@@ -491,6 +491,17 @@ impl<'o> SchedCore<'o> {
         self.queue.len()
     }
 
+    /// Whether a job with this id was ever submitted.
+    pub(crate) fn knows_job(&self, id: u64) -> bool {
+        self.id_to_idx.contains_key(&id)
+    }
+
+    /// The jobs waiting in the queue, in queue order.
+    pub(crate) fn waiting_jobs(&self) -> impl Iterator<Item = &Job> {
+        let jobs = &self.state.jobs;
+        self.queue.as_slice().iter().map(move |&i| &jobs[i])
+    }
+
     /// Scheduling invocations run so far (empty-queue no-ops excluded).
     pub fn invocations(&self) -> u64 {
         self.invocations

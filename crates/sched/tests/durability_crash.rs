@@ -1,8 +1,9 @@
 //! Crash-recovery integration tests for the durability layer
-//! (DESIGN.md §13): a simulated daemon journals wire events and takes
-//! rolling snapshots; the process is then "killed" at hostile points —
-//! including every byte boundary inside the final journal record — and
-//! recovery (newest valid snapshot + journal tail replay) must
+//! (DESIGN.md §13): a simulated daemon journals wire events in
+//! group-committed runs (appends, then one sync) and takes rolling
+//! snapshots; the process is then "killed" at hostile points —
+//! including every byte boundary inside the final, unsynced group —
+//! and recovery (newest valid snapshot + journal tail replay) must
 //! reproduce the uninterrupted run's decision stream byte for byte.
 
 use bbsched_policies::{GaParams, PolicyKind};
@@ -16,6 +17,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Per-frame overhead of a journal record (u32 length + u64 checksum).
 const FRAME_HEADER_LEN: usize = 12;
+/// The journal file header (`BBWAL` + version + newline).
+const JOURNAL_HEADER_LEN: usize = 7;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -98,18 +101,40 @@ fn prefix_lines(events: &[JobEvent], p: usize) -> Vec<String> {
     log.into_lines()
 }
 
+/// Byte offset of journal record `n` (= the journal's length once it
+/// holds the first `n` events).
+fn frame_offset(events: &[JobEvent], n: usize) -> usize {
+    JOURNAL_HEADER_LEN
+        + events[..n].iter().map(|e| FRAME_HEADER_LEN + e.to_json_line().len()).sum::<usize>()
+}
+
+/// What one daemon epoch left behind.
+struct Epoch {
+    lines: Vec<String>,
+    summary: Option<bbsched_sched::ReplaySummary>,
+    /// The snapshot position the epoch recovered from.
+    snap_pos: usize,
+    /// Journal records durable when the epoch ended.
+    synced: usize,
+}
+
 /// One daemon epoch: restore (or start fresh), replay the journal tail
 /// beyond the snapshot, then feed + journal live events until `stop`,
-/// snapshotting every `every` records. Returns the epoch's decisions.
+/// committing every `group` records (appends, then one sync) and
+/// snapshotting every `every` records — a snapshot commits the open
+/// group first, as the daemon does. A finishing epoch commits its last
+/// group; a crashing one (`finish == false`) ends with it unsynced.
+#[allow(clippy::too_many_arguments)]
 fn daemon_epoch(
     events: &[JobEvent],
     wal: &std::path::Path,
     store: &SnapshotStore,
     every: u64,
+    group: usize,
     encoding: Encoding,
     stop: usize,
     finish: bool,
-) -> (Vec<String>, Option<bbsched_sched::ReplaySummary>, usize) {
+) -> Epoch {
     let (mut journal, recovery) = Journal::open(wal).unwrap();
     let loaded = store.load_newest::<ReplaySnapshot>().unwrap();
     let mut log = DecisionLog::new();
@@ -127,46 +152,78 @@ fn daemon_epoch(
             let line = std::str::from_utf8(record).unwrap();
             rp.feed(JobEvent::parse(line).unwrap()).unwrap();
         }
-        // Live continuation, write-ahead journaled.
+        // Live continuation, write-ahead journaled in groups.
         let mut consumed = recovery.records.len();
-        for e in &events[consumed..stop] {
+        for (i, e) in events[consumed..stop].iter().enumerate() {
             rp.feed(e.clone()).unwrap();
-            journal.append_sync(e.to_json_line().as_bytes()).unwrap();
+            journal.append(e.to_json_line().as_bytes()).unwrap();
             consumed += 1;
             if every > 0 && (consumed as u64).is_multiple_of(every) {
+                journal.sync().unwrap();
+                assert!(consumed as u64 <= journal.synced_records());
                 store.save(consumed as u64, &rp.snapshot(), encoding).unwrap();
             }
+            if (i + 1) % group == 0 {
+                journal.sync().unwrap();
+            }
         }
-        let summary = if finish { Some(rp.finish().unwrap()) } else { None };
+        let summary = if finish {
+            journal.sync().unwrap();
+            Some(rp.finish().unwrap())
+        } else {
+            None
+        };
         (summary, snap_pos)
     };
-    (log.into_lines(), summary, snap_pos)
+    Epoch { lines: log.into_lines(), summary, snap_pos, synced: journal.synced_records() as usize }
 }
 
-/// Truncates the journal inside its final frame at `cut_frac` of the
-/// frame's bytes (1.0 = clean, nothing torn). Returns intact records.
-fn tear_final_record(wal: &std::path::Path, last_payload_len: usize, cut_frac: f64) -> usize {
+/// Simulates a crash that loses part of the journal's unsynced suffix:
+/// truncates the file at `cut_frac` of the bytes past record `synced`
+/// (1.0 = nothing lost). Returns the intact records.
+fn crash_unsynced_tail(
+    wal: &std::path::Path,
+    events: &[JobEvent],
+    synced: usize,
+    cut_frac: f64,
+) -> usize {
     let bytes = fs::read(wal).unwrap();
-    let frame_len = FRAME_HEADER_LEN + last_payload_len;
-    let frame_start = bytes.len() - frame_len;
-    let cut = frame_start + ((frame_len as f64 * cut_frac) as usize).min(frame_len);
+    let durable = frame_offset(events, synced);
+    let unsynced = bytes.len() - durable;
+    let cut = durable + ((unsynced as f64 * cut_frac) as usize).min(unsynced);
     fs::write(wal, &bytes[..cut]).unwrap();
     let (_, recovery) = Journal::open(wal).unwrap();
     recovery.records.len()
 }
 
-/// The tentpole guarantee, exhaustively: a daemon journaling every
-/// event and snapshotting every 7 is killed with the journal cut at
-/// *every byte boundary* of the final record. Recovery from the newest
-/// snapshot + journal tail, then the remaining events, must emit
-/// exactly the decisions the uninterrupted run emits after the
-/// snapshot point — so snapshot-prefix + recovery output is the
-/// uninterrupted stream, byte for byte.
+/// Recovery's decisions, after the prefix an uninterrupted run had
+/// emitted at the snapshot point, are exactly the uninterrupted run's.
+fn assert_recovers_byte_identical(events: &[JobEvent], recovered: &Epoch, what: &str) {
+    let (base_lines, base_summary) = baseline(events);
+    let prefix = prefix_lines(events, recovered.snap_pos);
+    assert_eq!(prefix.len() + recovered.lines.len(), base_lines.len(), "{what}");
+    assert_eq!(&base_lines[..prefix.len()], &prefix[..], "{what}");
+    assert_eq!(&base_lines[prefix.len()..], &recovered.lines[..], "{what}");
+    assert_eq!(recovered.summary.unwrap(), base_summary, "{what}");
+}
+
+/// The tentpole guarantee, exhaustively: a daemon snapshotting every 7
+/// records journals the final `GROUP` records as one group commit
+/// (appends, then one sync) and is killed with the journal cut at
+/// *every byte boundary* of that whole group. Recovery must keep an
+/// exact record prefix, then — from the newest snapshot + journal tail,
+/// then the remaining events — emit exactly the decisions the
+/// uninterrupted run emits after the snapshot point, so snapshot-prefix
+/// + recovery output is the uninterrupted stream, byte for byte.
 #[test]
 fn torn_journal_tail_recovers_byte_identical_at_every_cut() {
+    const GROUP: usize = 5;
     let events = events();
-    let (base_lines, base_summary) = baseline(&events);
-    assert!(!base_lines.is_empty());
+    let group_start = events.len() - GROUP;
+    assert!(
+        (group_start + 1..=events.len()).all(|n| !n.is_multiple_of(7)),
+        "no snapshot inside the group"
+    );
 
     let dir = tempdir("torn");
     let wal = dir.join("events.wal");
@@ -178,69 +235,66 @@ fn torn_journal_tail_recovers_byte_identical_at_every_cut() {
         store.save(0, &rp.snapshot(), Encoding::Binary).unwrap();
         for (i, e) in events.iter().enumerate() {
             rp.feed(e.clone()).unwrap();
-            journal.append_sync(e.to_json_line().as_bytes()).unwrap();
+            journal.append(e.to_json_line().as_bytes()).unwrap();
+            if i < group_start {
+                journal.sync().unwrap();
+            }
             if (i + 1) % 7 == 0 {
                 store.save((i + 1) as u64, &rp.snapshot(), Encoding::Binary).unwrap();
             }
         }
+        assert_eq!(journal.synced_records() as usize, group_start);
+        journal.sync().unwrap();
+        assert_eq!(journal.synced_records() as usize, events.len(), "one sync, whole group");
     }
     let full = fs::read(&wal).unwrap();
-    let last_payload = events.last().unwrap().to_json_line();
-    let final_frame_start = full.len() - (FRAME_HEADER_LEN + last_payload.len());
+    assert_eq!(full.len(), frame_offset(&events, events.len()));
+    let lines: Vec<Vec<u8>> = events.iter().map(|e| e.to_json_line().into_bytes()).collect();
 
-    for cut in final_frame_start..full.len() {
+    for cut in frame_offset(&events, group_start)..=full.len() {
         let jpath = dir.join("cut.wal");
         fs::write(&jpath, &full[..cut]).unwrap();
         let (_, recovery) = Journal::open(&jpath).unwrap();
-        assert_eq!(
-            recovery.records.len(),
-            events.len() - 1,
-            "cut at byte {cut}: exactly the torn final record is dropped"
-        );
+        let whole = (group_start..=events.len())
+            .take_while(|&n| frame_offset(&events, n) <= cut)
+            .last()
+            .unwrap();
+        assert_eq!(recovery.records.len(), whole, "cut at byte {cut}: every whole frame survives");
+        assert_eq!(&recovery.records[..], &lines[..whole], "cut at byte {cut}: an exact prefix");
 
-        let (rec_lines, summary, snap_pos) =
-            daemon_epoch(&events, &jpath, &store, 0, Encoding::Binary, events.len(), true);
-        let prefix = prefix_lines(&events, snap_pos);
-        assert_eq!(prefix.len() + rec_lines.len(), base_lines.len(), "cut at byte {cut}");
-        assert_eq!(&base_lines[..prefix.len()], &prefix[..], "cut at byte {cut}");
-        assert_eq!(&base_lines[prefix.len()..], &rec_lines[..], "cut at byte {cut}");
-        assert_eq!(summary.unwrap(), base_summary, "cut at byte {cut}");
+        let recovered =
+            daemon_epoch(&events, &jpath, &store, 0, 1, Encoding::Binary, events.len(), true);
+        assert_recovers_byte_identical(&events, &recovered, &format!("cut at byte {cut}"));
     }
 }
 
-/// Two full kill/recover cycles against one journal directory: crash
-/// mid-record, recover, continue journaling, crash again, recover,
-/// drain. The final recovery must still land exactly on the
-/// uninterrupted run's suffix.
+/// Two full kill/recover cycles against one journal directory, each
+/// crash losing part of an unsynced group: crash, recover, continue
+/// journaling, crash again, recover, drain. The final recovery must
+/// still land exactly on the uninterrupted run's suffix.
 #[test]
 fn repeated_crash_cycles_recover_byte_identical() {
     let events = events();
-    let (base_lines, base_summary) = baseline(&events);
-
     let dir = tempdir("cycles");
     let wal = dir.join("events.wal");
     let store = SnapshotStore::open(dir.join("snaps"), 3).unwrap();
 
-    // Epoch 1: fresh start, crash after journaling 17 records (the 17th
-    // torn mid-frame).
-    daemon_epoch(&events, &wal, &store, 5, Encoding::Binary, 17, false);
-    let intact = tear_final_record(&wal, events[16].to_json_line().len(), 0.5);
-    assert_eq!(intact, 16);
+    // Epoch 1: fresh start, groups of 4, crash after journaling 17
+    // records: record 16 is synced, record 17 torn mid-frame.
+    let e1 = daemon_epoch(&events, &wal, &store, 5, 4, Encoding::Binary, 17, false);
+    assert_eq!(e1.synced, 16);
+    assert_eq!(crash_unsynced_tail(&wal, &events, e1.synced, 0.5), 16);
 
-    // Epoch 2: recover, continue to 33 records, crash again (33rd torn
-    // at a different offset).
-    daemon_epoch(&events, &wal, &store, 5, Encoding::Json, 33, false);
-    let intact = tear_final_record(&wal, events[32].to_json_line().len(), 0.2);
-    assert_eq!(intact, 32);
+    // Epoch 2: recover, continue to 33 records in groups of 3 (synced
+    // at 19, 22, … 31), crash again: of the unsynced group 32..33,
+    // record 32 survives and record 33 is torn.
+    let e2 = daemon_epoch(&events, &wal, &store, 5, 3, Encoding::Json, 33, false);
+    assert_eq!(e2.synced, 31);
+    assert_eq!(crash_unsynced_tail(&wal, &events, e2.synced, 0.6), 32);
 
     // Epoch 3: recover and drain to the end.
-    let (rec_lines, summary, snap_pos) =
-        daemon_epoch(&events, &wal, &store, 5, Encoding::Binary, events.len(), true);
-    let prefix = prefix_lines(&events, snap_pos);
-    assert_eq!(prefix.len() + rec_lines.len(), base_lines.len());
-    assert_eq!(&base_lines[..prefix.len()], &prefix[..]);
-    assert_eq!(&base_lines[prefix.len()..], &rec_lines[..]);
-    assert_eq!(summary.unwrap(), base_summary);
+    let e3 = daemon_epoch(&events, &wal, &store, 5, 2, Encoding::Binary, events.len(), true);
+    assert_recovers_byte_identical(&events, &e3, "third epoch");
 }
 
 /// Golden binary ↔ JSON equivalence on a warmed snapshot: both
@@ -299,12 +353,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomized interleavings of submit/finish/invoke with snapshot
-    /// cadence and crash position: kill after `crash_at` journaled
-    /// records with the final record cut at a random byte fraction, in
-    /// either snapshot encoding; recovery must be byte-identical.
+    /// cadence, group size and crash position: kill after `crash_at`
+    /// journaled records, losing a random share of the final unsynced
+    /// group, in either snapshot encoding. No snapshot may survive past
+    /// the intact journal, and recovery must be byte-identical.
     #[test]
     fn random_crash_points_recover_byte_identical(
         every in 1u64..9,
+        group in 1usize..7,
         crash_at in 1usize..48,
         cut_frac in 0.0f64..1.0,
         enc_sel in 0u8..2,
@@ -312,7 +368,6 @@ proptest! {
         let events = events();
         prop_assert!(crash_at <= events.len());
         let encoding = if enc_sel == 1 { Encoding::Binary } else { Encoding::Json };
-        let (base_lines, base_summary) = baseline(&events);
 
         let dir = tempdir("prop");
         let wal = dir.join("events.wal");
@@ -323,25 +378,23 @@ proptest! {
             let rp = replayer(&mut log);
             store.save(0, &rp.snapshot(), encoding).unwrap();
         }
-        daemon_epoch(&events, &wal, &store, every, encoding, crash_at, false);
-        let intact = tear_final_record(&wal, events[crash_at - 1].to_json_line().len(), cut_frac);
-        prop_assert!(intact == crash_at || intact == crash_at - 1);
-        // The daemon snapshots only after append_sync returns, so a crash
-        // that tears the final record predates any snapshot at that
-        // position; drop such snapshots to keep the simulation honest.
+        let crashed = daemon_epoch(&events, &wal, &store, every, group, encoding, crash_at, false);
+        let intact = crash_unsynced_tail(&wal, &events, crashed.synced, cut_frac);
+        prop_assert!(crashed.synced <= intact && intact <= crash_at);
+        // A snapshot commits the open group before it is written, so
+        // no crash can leave one ahead of the intact journal.
         for pos in store.positions().unwrap() {
-            if pos > intact as u64 {
-                fs::remove_file(store.path_for(pos)).unwrap();
-            }
+            prop_assert!(pos <= intact as u64, "snapshot at {} past {} intact records", pos, intact);
         }
 
-        let (rec_lines, summary, snap_pos) =
-            daemon_epoch(&events, &wal, &store, every, encoding, events.len(), true);
-        let prefix = prefix_lines(&events, snap_pos);
-        prop_assert_eq!(prefix.len() + rec_lines.len(), base_lines.len());
+        let recovered =
+            daemon_epoch(&events, &wal, &store, every, group, encoding, events.len(), true);
+        let (base_lines, base_summary) = baseline(&events);
+        let prefix = prefix_lines(&events, recovered.snap_pos);
+        prop_assert_eq!(prefix.len() + recovered.lines.len(), base_lines.len());
         prop_assert_eq!(&base_lines[..prefix.len()], &prefix[..]);
-        prop_assert_eq!(&base_lines[prefix.len()..], &rec_lines[..]);
-        prop_assert_eq!(summary.unwrap(), base_summary);
+        prop_assert_eq!(&base_lines[prefix.len()..], &recovered.lines[..]);
+        prop_assert_eq!(recovered.summary.unwrap(), base_summary);
         fs::remove_dir_all(&dir).ok();
     }
 }

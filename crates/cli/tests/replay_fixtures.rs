@@ -112,6 +112,27 @@ fn regenerate_replay_fixtures() {
     std::fs::write(ci_dir().join("replay_expected.jsonl"), expected).unwrap();
 }
 
+/// The same event stream under the BBSched policy: every Baseline smoke
+/// skips the genetic solver, so this fixture is the process-level pin on
+/// GA decisions (window → MOO problem → GA → decision maker → wire line).
+/// `ci/replay_expected_bbsched.jsonl` is the output of
+/// `bbsched replay --events ci/replay_events.jsonl --machine cori
+/// --scale 0.05 --policy BBSched`; regenerate it the same way only after an
+/// intentional change to the solver's output.
+#[test]
+fn bbsched_replay_matches_its_fixture() {
+    let events = ci_dir().join("replay_events.jsonl");
+    let expected = std::fs::read_to_string(ci_dir().join("replay_expected_bbsched.jsonl"))
+        .expect("ci/replay_expected_bbsched.jsonl exists");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bbsched"))
+        .args(["replay", "--events", events.to_str().unwrap()])
+        .args(["--machine", "cori", "--scale", "0.05", "--policy", "BBSched"])
+        .output()
+        .expect("binary must spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), expected, "BBSched replay diverges");
+}
+
 /// Checkpointed replay across a real process boundary: a head process
 /// feeds the fixture stream up to a cut, writes a checkpoint and stops
 /// without flushing; a second process resumes from the checkpoint file

@@ -26,8 +26,8 @@ impl Clone for Chromosome {
         Self { words: self.words.clone(), len: self.len }
     }
 
-    /// Reuses the existing word buffer — the GA's memo hit path restores
-    /// repaired chromosomes with `clone_from`, so hits allocate nothing.
+    /// Reuses the existing word buffer, so the GA's crossover into its
+    /// scratch children allocates nothing.
     fn clone_from(&mut self, source: &Self) {
         self.words.clone_from(&source.words);
         self.len = source.len;
@@ -143,8 +143,8 @@ impl Chromosome {
     }
 
     /// [`Chromosome::crossover`] writing into caller-provided children —
-    /// the GA's allocation-free hot path, which recycles the chromosomes
-    /// selection drops each generation instead of heap-allocating new ones.
+    /// the GA's allocation-free hot path, which breeds every child into
+    /// the same two scratch chromosomes.
     ///
     /// # Panics
     /// Panics if the parents have different lengths or `point > len`.

@@ -15,6 +15,15 @@
 //! Every chromosome is kept feasible via [`MooProblem::repair`], so the
 //! capacity constraints of the MOO formulation always hold.
 //!
+//! The population is *interned*: each distinct pre-repair chromosome a run
+//! breeds gets one arena entry holding its repaired chromosome, objectives
+//! and objective-group id, and a population member is an 8-byte
+//! `(entry, age)` pair. The arena is the repair/evaluate memo — only misses
+//! are repaired and evaluated, sharded over [`GaConfig::threads`] — and
+//! selection groups members by integer group id, so once a run has
+//! converged a generation moves no chromosome and (in the `Pareto` and
+//! `Scalar` modes) allocates nothing. [`GaTrace`] counts misses and hits.
+//!
 //! A scalarized mode ([`SolveMode::Scalar`]) reuses the same evolutionary
 //! machinery with "keep the best `P` by weighted sum" selection; this powers
 //! the *weighted* and *constrained* comparison policies of §4.3, which the
@@ -24,9 +33,12 @@ use crate::chromosome::Chromosome;
 use crate::parallel;
 use crate::pareto::{dominates, ParetoFront, Solution};
 use crate::problem::MooProblem;
-use crate::Objectives;
+use crate::{Objectives, MAX_OBJECTIVES};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// How the GA turns objective vectors into survivor choices.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,14 +155,160 @@ impl GaConfig {
     }
 }
 
-/// One member of the GA population.
-#[derive(Clone, Debug)]
-struct Individual {
-    chrom: Chromosome,
-    objs: Objectives,
+/// One slot of the GA population: an [`Arena`] entry plus its age.
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    id: u32,
     /// Generations survived; children are born with age 0, and "newer
     /// chromosomes have higher priorities" during selection.
     age: u32,
+}
+
+/// FNV-1a hasher for the arena: chromosome keys are one or two `u64` words,
+/// for which SipHash's per-lookup cost is pure overhead on the GA hot path.
+#[derive(Default)]
+struct FnvHasher(u64);
+
+impl Hasher for FnvHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x1000_0000_01b3);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
+type FnvMap<K> = HashMap<K, u32, BuildHasherDefault<FnvHasher>>;
+
+/// The per-solve interned population: one entry per distinct *pre-repair*
+/// chromosome ever bred, holding its repaired chromosome, its objectives and
+/// its objective-group id. Population members are 8-byte [`Member`]s that
+/// point here, so breeding reads parents in place and selection never moves
+/// a chromosome.
+///
+/// The arena is also the repair/evaluate memo. That is sound because repair
+/// and saturation are pure functions of the chromosome (the cyclic repair
+/// order derives from the content hash, not an RNG) and `evaluate` is pure
+/// by the [`MooProblem`] contract. Converged populations breed the same
+/// children over and over, so almost every lookup hits.
+///
+/// Objective groups intern exactly-equal objective vectors (`f64 ==`:
+/// `-0.0` joins `0.0`, and a vector holding a NaN equals nothing, so it gets
+/// a group of its own), letting selection group members by integer compare.
+#[derive(Default)]
+struct Arena {
+    /// Pre-repair chromosome → entry id.
+    ids: FnvMap<Chromosome>,
+    /// Per entry: the repaired chromosome (still pre-repair while pending).
+    chroms: Vec<Chromosome>,
+    /// Per evaluated entry: its objectives and objective-group id. Entries
+    /// past `objs.len()` are pending evaluation.
+    objs: Vec<Objectives>,
+    group: Vec<u32>,
+    /// Per entry: the entry keyed by its repaired chromosome, once looked
+    /// up (`u32::MAX` before).
+    refix: Vec<u32>,
+    /// Objective-vector bits → group id.
+    group_ids: FnvMap<[u64; MAX_OBJECTIVES]>,
+    /// Per group: its objective vector.
+    group_objs: Vec<Objectives>,
+    /// Lookups that created an entry / found one.
+    evaluations: u64,
+    memo_hits: u64,
+}
+
+impl Arena {
+    /// The entry for pre-repair chromosome `c`, created pending on a miss.
+    #[inline]
+    fn intern(&mut self, c: &Chromosome) -> u32 {
+        if let Some(&id) = self.ids.get(c) {
+            self.memo_hits += 1;
+            return id;
+        }
+        let id = self.chroms.len() as u32;
+        self.ids.insert(c.clone(), id);
+        self.chroms.push(c.clone());
+        self.refix.push(u32::MAX);
+        self.evaluations += 1;
+        id
+    }
+
+    /// [`Arena::intern`] for a child bred from `parent`. A child equal to
+    /// its parent's repaired chromosome — most children, once the
+    /// population has converged — is answered from `refix` without hashing.
+    #[inline]
+    fn intern_child(&mut self, c: &Chromosome, parent: u32) -> u32 {
+        if c != self.chrom(parent) {
+            return self.intern(c);
+        }
+        let cached = self.refix[parent as usize];
+        if cached != u32::MAX {
+            self.memo_hits += 1;
+            return cached;
+        }
+        let id = self.intern(c);
+        self.refix[parent as usize] = id;
+        id
+    }
+
+    /// Repairs (and optionally saturates) and evaluates every pending entry,
+    /// sharded over `threads`; returns the range of entries it evaluated.
+    fn evaluate_pending<P: MooProblem + ?Sized>(
+        &mut self,
+        problem: &P,
+        threads: usize,
+        saturate: bool,
+    ) -> Range<usize> {
+        let fresh = self.objs.len()..self.chroms.len();
+        let chroms = &mut self.chroms[fresh.clone()];
+        for o in parallel::repair_and_evaluate(problem, chroms, threads, saturate) {
+            let mut key = [0u64; MAX_OBJECTIVES];
+            for (k, v) in key.iter_mut().zip(o.as_slice()) {
+                *k = (v + 0.0).to_bits();
+            }
+            let next = self.group_objs.len() as u32;
+            let g = if o.as_slice().iter().any(|v| v.is_nan()) {
+                next
+            } else {
+                *self.group_ids.entry(key).or_insert(next)
+            };
+            if g == next {
+                self.group_objs.push(o);
+            }
+            self.objs.push(o);
+            self.group.push(g);
+        }
+        fresh
+    }
+
+    #[inline]
+    fn chrom(&self, id: u32) -> &Chromosome {
+        &self.chroms[id as usize]
+    }
+
+    #[inline]
+    fn objs(&self, id: u32) -> &Objectives {
+        &self.objs[id as usize]
+    }
+
+    fn solution(&self, id: u32) -> Solution {
+        Solution { chromosome: self.chrom(id).clone(), objectives: *self.objs(id) }
+    }
 }
 
 /// The multi-objective genetic solver.
@@ -203,81 +361,93 @@ impl MooGa {
 
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
         let p = self.config.population;
-        // Memo of repair/evaluate results for the serial path; converged
-        // populations re-produce the same children over and over, so most
-        // late-run lookups hit.
-        let mut memo = parallel::EvalMemo::new();
-        let mut pop = self.initial_population(problem, &mut rng, &mut memo);
+        let (threads, saturate) = (self.config.threads, self.config.saturate);
+        let norm = problem.normalizers();
+        let mut arena = Arena::default();
         let mut archive = ParetoFront::new();
-        if self.config.archive {
-            for ind in &pop {
-                archive.insert(Solution { chromosome: ind.chrom.clone(), objectives: ind.objs });
+        let mut c1 = Chromosome::zeros(w);
+        let mut c2 = Chromosome::zeros(w);
+
+        let mut pop: Vec<Member> = Vec::with_capacity(p);
+        for _ in 0..p {
+            c1.clear();
+            for i in 0..w {
+                if rng.random_bool(0.5) {
+                    c1.set(i, true);
+                }
             }
+            pop.push(Member { id: arena.intern(&c1), age: 0 });
+        }
+        let fresh = arena.evaluate_pending(problem, threads, saturate);
+        if self.config.archive {
+            fresh.for_each(|id| _ = archive.insert(arena.solution(id as u32)));
         }
         let mut next_checkpoint = 0usize;
 
         // Snapshot before any evolution if generation 0 is requested.
         while next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] == 0 {
-            trace.checkpoints.push((0, self.extract_front(problem, &pop)));
+            trace.checkpoints.push((0, self.extract_front(&pop, &arena, &norm)));
             next_checkpoint += 1;
         }
 
-        let mut children_chroms: Vec<Chromosome> = Vec::with_capacity(p + 1);
-        // Chromosomes dropped by selection, recycled as crossover children so
-        // the steady-state loop allocates nothing.
-        let mut recycle: Vec<Chromosome> = Vec::with_capacity(2 * p);
+        let mut pool: Vec<Member> = Vec::with_capacity(2 * p);
         let mut scratch = SelectScratch::default();
         for gen in 1..=self.config.generations {
-            // --- crossover + mutation -> P children ---
-            children_chroms.clear();
-            while children_chroms.len() < p {
-                let pa = rng.random_range(0..pop.len());
-                let pb = rng.random_range(0..pop.len());
+            // --- crossover + mutation -> P children, interned into the arena ---
+            pool.clear();
+            pool.extend_from_slice(&pop);
+            while pool.len() < 2 * p {
+                let pa = pop[rng.random_range(0..pop.len())].id;
+                let pb = pop[rng.random_range(0..pop.len())].id;
                 let point = rng.random_range(0..=w);
-                let mut c1 = recycle.pop().unwrap_or_else(|| Chromosome::zeros(w));
-                let mut c2 = recycle.pop().unwrap_or_else(|| Chromosome::zeros(w));
-                pop[pa].chrom.crossover_into(&pop[pb].chrom, point, &mut c1, &mut c2);
+                arena.chrom(pa).crossover_into(arena.chrom(pb), point, &mut c1, &mut c2);
                 self.mutate(&mut c1, &mut rng);
                 self.mutate(&mut c2, &mut rng);
-                children_chroms.push(c1);
-                if children_chroms.len() < p {
-                    children_chroms.push(c2);
-                } else {
-                    recycle.push(c2);
+                pool.push(Member { id: arena.intern_child(&c1, pa), age: 0 });
+                // With odd `P` the last pair's second child is dropped unseen.
+                if pool.len() < 2 * p {
+                    pool.push(Member { id: arena.intern_child(&c2, pb), age: 0 });
                 }
             }
 
-            // --- repair + evaluate (memoized when serial) ---
-            let objs = self.repair_and_evaluate(problem, &mut children_chroms, &mut memo);
+            // --- repair + evaluate the arena misses only ---
+            let fresh = arena.evaluate_pending(problem, threads, saturate);
+            if self.config.archive {
+                // Re-offering a solution the archive already saw is a no-op
+                // (for NaN-free objectives), so only new entries are offered.
+                fresh.for_each(|id| _ = archive.insert(arena.solution(id as u32)));
+            }
 
             // --- selection over parents + children ---
-            let mut pool: Vec<Individual> = pop;
-            pool.reserve(children_chroms.len());
-            for (chrom, objs) in children_chroms.drain(..).zip(objs) {
-                if self.config.archive {
-                    archive.insert(Solution { chromosome: chrom.clone(), objectives: objs });
+            match &self.config.mode {
+                SolveMode::Pareto => select_pareto(&pool, p, &arena, &mut scratch, &mut pop),
+                SolveMode::ParetoCrowding => {
+                    select_crowding(&pool, p, &arena, &mut scratch, &mut pop)
                 }
-                pool.push(Individual { chrom, objs, age: 0 });
+                SolveMode::Scalar(weights) => select_scalar(
+                    &pool,
+                    p,
+                    weights,
+                    norm.as_slice(),
+                    &arena,
+                    &mut scratch,
+                    &mut pop,
+                ),
             }
-            pop = match &self.config.mode {
-                SolveMode::Pareto => select_pareto(pool, p, &mut recycle, &mut scratch),
-                SolveMode::ParetoCrowding => select_crowding(pool, p),
-                SolveMode::Scalar(weights) => {
-                    select_scalar(pool, p, weights, problem.normalizers().as_slice(), &mut recycle)
-                }
-            };
-            for ind in &mut pop {
-                ind.age += 1;
+            for m in &mut pop {
+                m.age += 1;
             }
 
             while next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] == gen {
-                trace.checkpoints.push((gen, self.extract_front(problem, &pop)));
+                trace.checkpoints.push((gen, self.extract_front(&pop, &arena, &norm)));
                 next_checkpoint += 1;
             }
         }
 
         trace.final_front =
-            if self.config.archive { archive } else { self.extract_front(problem, &pop) };
+            if self.config.archive { archive } else { self.extract_front(&pop, &arena, &norm) };
+        trace.evaluations = arena.evaluations;
+        trace.memo_hits = arena.memo_hits;
         trace
     }
 
@@ -298,52 +468,6 @@ impl MooGa {
         })
     }
 
-    /// Repairs and evaluates a batch: the serial path goes through the memo,
-    /// `threads > 1` keeps the unmemoized sharded path (results identical).
-    fn repair_and_evaluate<P: MooProblem + ?Sized>(
-        &self,
-        problem: &P,
-        chroms: &mut [Chromosome],
-        memo: &mut parallel::EvalMemo,
-    ) -> Vec<Objectives> {
-        if self.config.threads <= 1 {
-            parallel::repair_and_evaluate_memo(problem, chroms, self.config.saturate, memo)
-        } else {
-            parallel::repair_and_evaluate(
-                problem,
-                chroms,
-                self.config.threads,
-                self.config.saturate,
-            )
-        }
-    }
-
-    fn initial_population<P: MooProblem + ?Sized>(
-        &self,
-        problem: &P,
-        rng: &mut SmallRng,
-        memo: &mut parallel::EvalMemo,
-    ) -> Vec<Individual> {
-        let w = problem.len();
-        let mut chroms: Vec<Chromosome> = (0..self.config.population)
-            .map(|_| {
-                let mut c = Chromosome::zeros(w);
-                for i in 0..w {
-                    if rng.random_bool(0.5) {
-                        c.set(i, true);
-                    }
-                }
-                c
-            })
-            .collect();
-        let objs = self.repair_and_evaluate(problem, &mut chroms, memo);
-        chroms
-            .into_iter()
-            .zip(objs)
-            .map(|(chrom, objs)| Individual { chrom, objs, age: 0 })
-            .collect()
-    }
-
     #[inline]
     fn mutate(&self, c: &mut Chromosome, rng: &mut SmallRng) {
         let pm = self.config.mutation_rate;
@@ -359,37 +483,35 @@ impl MooGa {
         }
         // Same draw stream as `rng.random_bool(pm)` per gene with the
         // threshold compare hoisted out of the loop: `pm * 2^53` is a pure
-        // exponent shift (exact), so `(word >> 11) as f64 < threshold`
-        // decides identically to `unit_f64(word) < pm`.
-        let threshold = pm * (1u64 << 53) as f64;
+        // exponent shift (exact), so `unit_f64(word) < pm` is
+        // `(word >> 11) < ceil(pm * 2^53)` on integers, i.e.
+        // `word < ceil(pm * 2^53) << 11` (no overflow: `pm < 1`).
+        let limit = ((pm * (1u64 << 53) as f64).ceil() as u64) << 11;
         for i in 0..c.len() {
-            if ((rng.next_u64() >> 11) as f64) < threshold {
+            if rng.next_u64() < limit {
                 c.flip(i);
             }
         }
     }
 
-    fn extract_front<P: MooProblem + ?Sized>(
-        &self,
-        problem: &P,
-        pop: &[Individual],
-    ) -> ParetoFront {
+    fn extract_front(&self, pop: &[Member], arena: &Arena, norm: &Objectives) -> ParetoFront {
         match &self.config.mode {
-            SolveMode::Pareto | SolveMode::ParetoCrowding => ParetoFront::from_pool(
-                pop.iter().map(|i| Solution { chromosome: i.chrom.clone(), objectives: i.objs }),
-            ),
+            SolveMode::Pareto | SolveMode::ParetoCrowding => {
+                ParetoFront::from_pool(pop.iter().map(|m| arena.solution(m.id)))
+            }
             SolveMode::Scalar(weights) => {
-                let norm = problem.normalizers();
+                let fitness =
+                    |m: &Member| scalar_fitness(arena.objs(m.id), weights, norm.as_slice());
                 let best = pop.iter().max_by(|a, b| {
-                    scalar_fitness(&a.objs, weights, norm.as_slice())
-                        .partial_cmp(&scalar_fitness(&b.objs, weights, norm.as_slice()))
+                    fitness(a)
+                        .partial_cmp(&fitness(b))
                         .unwrap_or(std::cmp::Ordering::Equal)
                         // Ties: prefer front-of-window selections.
-                        .then_with(|| b.chrom.front_preference(&a.chrom))
+                        .then_with(|| arena.chrom(b.id).front_preference(arena.chrom(a.id)))
                 });
                 let mut front = ParetoFront::new();
                 if let Some(b) = best {
-                    front.insert(Solution { chromosome: b.chrom.clone(), objectives: b.objs });
+                    front.insert(arena.solution(b.id));
                 }
                 front
             }
@@ -404,6 +526,13 @@ pub struct GaTrace {
     pub checkpoints: Vec<(usize, ParetoFront)>,
     /// Front after the final generation.
     pub final_front: ParetoFront,
+    /// Chromosomes repaired and evaluated: the distinct pre-repair
+    /// chromosomes the run bred (memo misses).
+    pub evaluations: u64,
+    /// Chromosomes whose repair and objectives came from the memo. Every
+    /// bred chromosome is one or the other, so the two sum to `P × (G + 1)`
+    /// for a non-empty window.
+    pub memo_hits: u64,
 }
 
 #[inline]
@@ -411,54 +540,54 @@ fn scalar_fitness(objs: &Objectives, weights: &[f64], norm: &[f64]) -> f64 {
     objs.as_slice().iter().zip(norm).zip(weights).map(|((&v, &n), &w)| w * v / n).sum()
 }
 
-/// Indices of the non-dominated members of `pool`. Equal objective vectors
-/// are both retained (the paper keeps all Set-1 chromosomes).
-///
-/// Members are first grouped by exactly-equal objective vectors: equal
-/// vectors never dominate each other and share every dominance verdict, so
-/// the O(n²) comparison loop runs over the *distinct* vectors only. A
-/// converged population collapses to a handful of distinct points, which is
-/// where the per-generation selection cost used to go.
-fn nondominated_indices(pool: &[Individual]) -> Vec<bool> {
-    let mut uniq: Vec<&[f64]> = Vec::new();
-    let mut group: Vec<u32> = Vec::with_capacity(pool.len());
-    for ind in pool {
-        let v = ind.objs.as_slice();
-        let g = uniq.iter().position(|u| *u == v).unwrap_or_else(|| {
-            uniq.push(v);
-            uniq.len() - 1
-        });
-        group.push(g as u32);
-    }
-    let d = uniq.len();
-    let mut nondom = vec![true; d];
-    for i in 0..d {
-        for j in 0..d {
-            if i != j && dominates(uniq[j], uniq[i]) {
-                nondom[i] = false;
-                break;
-            }
-        }
-    }
-    group.into_iter().map(|g| nondom[g as usize]).collect()
-}
-
-/// Reusable buffers for [`select_pareto`], hoisted out of the
-/// per-generation loop so steady-state selection allocates nothing.
+/// Reusable selection buffers, hoisted out of the per-generation loop.
 #[derive(Default)]
 struct SelectScratch {
-    /// Pool index of the first member with each distinct objective vector.
+    /// Objective-group id of each distinct group in the pool.
     uniq: Vec<u32>,
-    /// Distinct-vector group of each pool member.
-    group: Vec<u32>,
-    /// Non-domination verdict per distinct vector.
+    /// Index into `uniq` of each pool member.
+    local: Vec<u32>,
+    /// Non-domination verdict per distinct group.
     nondom: Vec<bool>,
     /// Whether a Set-1 representative for the group was already taken.
     rep_taken: Vec<bool>,
-    set1: Vec<u32>,
-    set2: Vec<u32>,
-    picks: Vec<u32>,
-    slots: Vec<Option<Individual>>,
+    /// `(age << 32) | pool index` sort keys.
+    set1: Vec<u64>,
+    set2: Vec<u64>,
+    dups: Vec<Member>,
+    /// Scalar mode: fitness plus sort key per member.
+    keyed: Vec<(f64, u64)>,
+}
+
+/// Groups `pool` by objective group and marks the non-dominated groups,
+/// leaving the verdict of member `i` at `s.nondom[s.local[i]]`.
+///
+/// Equal objective vectors never dominate each other and share every
+/// dominance verdict, so the O(n²) comparison loop runs over the *distinct*
+/// vectors only. A converged population collapses to a handful of distinct
+/// points, which is where the per-generation selection cost used to go.
+fn classify(pool: &[Member], arena: &Arena, s: &mut SelectScratch) {
+    s.uniq.clear();
+    s.local.clear();
+    for m in pool {
+        let g = arena.group[m.id as usize];
+        let l = s.uniq.iter().position(|&u| u == g).unwrap_or_else(|| {
+            s.uniq.push(g);
+            s.uniq.len() - 1
+        });
+        s.local.push(l as u32);
+    }
+    let groups = &arena.group_objs;
+    s.nondom.clear();
+    s.nondom.extend(s.uniq.iter().map(|&g| {
+        let v = groups[g as usize].as_slice();
+        !s.uniq.iter().any(|&u| dominates(groups[u as usize].as_slice(), v))
+    }));
+}
+
+#[inline]
+fn age_key(m: &Member, i: usize) -> u64 {
+    (u64::from(m.age) << 32) | i as u64
 }
 
 /// The §3.2.2 selection: Set 1 (Pareto) first, then newest of Set 2; if
@@ -472,122 +601,77 @@ struct SelectScratch {
 /// Duplicated points only fill leftover slots, newest first, exactly as the
 /// paper's age rule prescribes.
 ///
-/// Members are grouped by exactly-equal objective vectors: equal vectors
-/// never dominate each other and share every dominance verdict, so the
-/// O(n²) comparison loop runs over the *distinct* vectors only, and Set-1
-/// duplicate detection is a per-group flag instead of a rescan.
+/// "Newest first" is a sort on `(age << 32) | pool index`: ages ascending,
+/// pool order among equals, as a stable sort by age would give.
 fn select_pareto(
-    pool: Vec<Individual>,
+    pool: &[Member],
     p: usize,
-    recycle: &mut Vec<Chromosome>,
+    arena: &Arena,
     s: &mut SelectScratch,
-) -> Vec<Individual> {
-    // All bookkeeping runs over indices; pool members move exactly once, at
-    // materialization.
-    s.uniq.clear();
-    s.group.clear();
-    for (i, ind) in pool.iter().enumerate() {
-        let v = ind.objs.as_slice();
-        let mut g = None;
-        for (gi, &u) in s.uniq.iter().enumerate() {
-            if pool[u as usize].objs.as_slice() == v {
-                g = Some(gi);
-                break;
-            }
-        }
-        let g = g.unwrap_or_else(|| {
-            s.uniq.push(i as u32);
-            s.uniq.len() - 1
-        });
-        s.group.push(g as u32);
-    }
-    let d = s.uniq.len();
-    s.nondom.clear();
-    s.nondom.resize(d, true);
-    for i in 0..d {
-        let vi = pool[s.uniq[i] as usize].objs.as_slice();
-        for j in 0..d {
-            if i != j && dominates(pool[s.uniq[j] as usize].objs.as_slice(), vi) {
-                s.nondom[i] = false;
-                break;
-            }
-        }
-    }
+    out: &mut Vec<Member>,
+) {
+    classify(pool, arena, s);
     s.set1.clear();
     s.set2.clear();
-    for (i, &g) in s.group.iter().enumerate() {
-        if s.nondom[g as usize] {
-            s.set1.push(i as u32);
-        } else {
-            s.set2.push(i as u32);
-        }
+    // Children (age 0, the pool's back half) come before every parent in
+    // key order; visiting them first leaves the sets nearly sorted.
+    for i in (p..pool.len()).chain(0..p) {
+        let set = if s.nondom[s.local[i] as usize] { &mut s.set1 } else { &mut s.set2 };
+        set.push(age_key(&pool[i], i));
     }
+    s.set1.sort_unstable();
 
-    // Partition Set 1 into one representative per distinct objective vector
-    // (newest representative wins) and the remaining duplicates; the
-    // representatives lead `picks`, duplicates follow.
-    s.set1.sort_by_key(|&i| pool[i as usize].age);
+    // One representative per distinct objective vector (the newest) leads,
+    // the remaining duplicates follow.
     s.rep_taken.clear();
-    s.rep_taken.resize(d, false);
-    s.picks.clear();
-    let mut n_reps = 0;
-    for k in 0..s.set1.len() {
-        let i = s.set1[k];
-        let g = s.group[i as usize] as usize;
-        if s.rep_taken[g] {
-            s.picks.push(i); // duplicate: appended after the representatives
+    s.rep_taken.resize(s.uniq.len(), false);
+    out.clear();
+    s.dups.clear();
+    for &k in &s.set1 {
+        let i = k as u32 as usize;
+        let taken = std::mem::replace(&mut s.rep_taken[s.local[i] as usize], true);
+        if taken {
+            s.dups.push(pool[i])
         } else {
-            s.rep_taken[g] = true;
-            s.picks.insert(n_reps, i);
-            n_reps += 1;
+            out.push(pool[i])
         }
     }
-    if n_reps >= p {
-        // More distinct Pareto points than slots: keep the newest ones
-        // (ages ascending already).
-        s.picks.truncate(p);
-    } else if s.picks.len() > p {
-        // Enough Set-1 duplicates (already age-sorted) to fill the gap.
-        s.picks.truncate(p);
-    } else if s.picks.len() < p {
+    out.extend_from_slice(&s.dups);
+    if out.len() < p {
         // Fill with the newest of Set 2.
-        s.set2.sort_by_key(|&i| pool[i as usize].age);
-        let need = p - s.picks.len();
-        s.picks.extend(s.set2.iter().take(need));
+        s.set2.sort_unstable();
+        let need = p - out.len();
+        out.extend(s.set2.iter().take(need).map(|&k| pool[k as u32 as usize]));
     }
-
-    s.slots.clear();
-    s.slots.extend(pool.into_iter().map(Some));
-    let slots = &mut s.slots;
-    let survivors: Vec<Individual> = s
-        .picks
-        .iter()
-        .map(|&i| slots[i as usize].take().expect("selection picks each pool member at most once"))
-        .collect();
-    recycle.extend(slots.drain(..).flatten().map(|ind| ind.chrom));
-    survivors
+    out.truncate(p);
 }
 
 /// NSGA-II-style selection: non-dominated sorting into successive fronts;
 /// fronts fill the next generation in rank order, and the last,
 /// overflowing front is truncated by descending crowding distance.
-fn select_crowding(mut pool: Vec<Individual>, p: usize) -> Vec<Individual> {
-    let mut next: Vec<Individual> = Vec::with_capacity(p);
-    while next.len() < p && !pool.is_empty() {
-        let in_front = nondominated_indices(&pool);
-        let mut front = Vec::new();
-        let mut rest = Vec::new();
-        for (ind, is_front) in pool.into_iter().zip(in_front) {
-            if is_front {
-                front.push(ind);
+fn select_crowding(
+    pool: &[Member],
+    p: usize,
+    arena: &Arena,
+    s: &mut SelectScratch,
+    out: &mut Vec<Member>,
+) {
+    out.clear();
+    let mut rest = pool.to_vec();
+    while out.len() < p && !rest.is_empty() {
+        classify(&rest, arena, s);
+        let (mut front, mut next_rest) = (Vec::new(), Vec::new());
+        for (&m, &l) in rest.iter().zip(&s.local) {
+            if s.nondom[l as usize] {
+                front.push(m)
             } else {
-                rest.push(ind);
+                next_rest.push(m)
             }
         }
-        if next.len() + front.len() <= p {
-            next.extend(front);
+        if out.len() + front.len() <= p {
+            out.extend(front);
         } else {
-            let points: Vec<&[f64]> = front.iter().map(|i| i.objs.as_slice()).collect();
+            let points: Vec<&[f64]> = front.iter().map(|m| arena.objs(m.id).as_slice()).collect();
             let dist = crate::pareto::crowding_distance(&points);
             let mut order: Vec<usize> = (0..front.len()).collect();
             order.sort_by(|&a, &b| {
@@ -596,38 +680,37 @@ fn select_crowding(mut pool: Vec<Individual>, p: usize) -> Vec<Individual> {
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then_with(|| front[a].age.cmp(&front[b].age))
             });
-            let need = p - next.len();
-            let keep: std::collections::HashSet<usize> = order.into_iter().take(need).collect();
-            for (i, ind) in front.into_iter().enumerate() {
-                if keep.contains(&i) {
-                    next.push(ind);
-                }
-            }
+            let mut keep = vec![false; front.len()];
+            order.into_iter().take(p - out.len()).for_each(|i| keep[i] = true);
+            out.extend(front.iter().zip(keep).filter(|(_, k)| *k).map(|(m, _)| *m));
         }
-        pool = rest;
+        rest = next_rest;
     }
-    next
 }
 
 /// Scalarized selection: top `p` by weighted normalized sum, newest first on
-/// ties.
+/// ties (then pool order, as a stable sort would keep it).
 fn select_scalar(
-    pool: Vec<Individual>,
+    pool: &[Member],
     p: usize,
     weights: &[f64],
     norm: &[f64],
-    recycle: &mut Vec<Chromosome>,
-) -> Vec<Individual> {
+    arena: &Arena,
+    s: &mut SelectScratch,
+    out: &mut Vec<Member>,
+) {
     // Fitness is computed once per member, not once per comparison.
-    let mut keyed: Vec<(f64, Individual)> =
-        pool.into_iter().map(|ind| (scalar_fitness(&ind.objs, weights, norm), ind)).collect();
-    keyed.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.1.age.cmp(&b.1.age))
+    s.keyed.clear();
+    s.keyed.extend(
+        pool.iter()
+            .enumerate()
+            .map(|(i, m)| (scalar_fitness(arena.objs(m.id), weights, norm), age_key(m, i))),
+    );
+    s.keyed.sort_unstable_by(|a, b| {
+        b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
     });
-    recycle.extend(keyed.drain(p.min(keyed.len())..).map(|(_, ind)| ind.chrom));
-    keyed.into_iter().map(|(_, ind)| ind).collect()
+    out.clear();
+    out.extend(s.keyed.iter().take(p).map(|&(_, k)| pool[k as u32 as usize]));
 }
 
 #[cfg(test)]
@@ -830,6 +913,23 @@ mod tests {
         for s in front.solutions() {
             assert!(p.is_feasible(&s.chromosome));
         }
+    }
+
+    #[test]
+    fn every_bred_chromosome_is_one_evaluation_or_one_memo_hit() {
+        let p = table1_problem();
+        // Odd `P` drops the last crossover's second child, which is never
+        // looked up; the threaded path counts exactly like the serial one.
+        for (population, threads) in [(20, 1), (7, 1), (7, 2)] {
+            let cfg = GaConfig { population, generations: 40, threads, ..GaConfig::default() };
+            let t = MooGa::new(cfg).solve_traced(&p, &[]);
+            assert_eq!(t.evaluations + t.memo_hits, (population * 41) as u64);
+            // Five genes: at most 32 distinct pre-repair chromosomes.
+            assert!(t.evaluations >= 1 && t.evaluations <= 32, "{t:?}");
+        }
+        let empty = KnapsackMooProblem::new(vec![], ResourceModel::cpu_bb(10, 10.0));
+        let t = MooGa::new(GaConfig::default()).solve_traced(&empty, &[]);
+        assert_eq!((t.evaluations, t.memo_hits), (0, 0));
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! here, and only one of them pays for the paper's own problems:
 //!
 //! * **Per-generation sharding** ([`repair_and_evaluate`] with
-//!   `threads > 1`): measured honestly (`ga_scaling` bench), scoped-thread
-//!   spawning per generation costs more than it saves even at `w = 256`,
-//!   `P = 128` — chromosome evaluation is just too cheap. The hook remains
-//!   for *expensive* `MooProblem::evaluate` implementations (e.g. problems
-//!   that consult a placement simulator per candidate); for the paper's
-//!   knapsack objectives, keep `threads = 1` and let the GA take the
-//!   serial, memoized path ([`repair_and_evaluate_memo`]).
+//!   `threads > 1`): the GA calls it on each generation's memo *misses*
+//!   only — its population arena memoizes repair and evaluation at every
+//!   thread count — so once a run converges there is nothing left to
+//!   shard. Measured honestly (`ga_scaling` bench), scoped-thread spawning
+//!   per generation costs more than it saves even at `w = 256`, `P = 128`:
+//!   chromosome evaluation is just too cheap. The hook remains for
+//!   *expensive* `MooProblem::evaluate` implementations (e.g. problems that
+//!   consult a placement simulator per candidate); for the paper's knapsack
+//!   objectives, keep `threads = 1`.
 //! * **Whole-task batching** ([`run_batch`]): entire GA invocations,
 //!   simulations, or experiment-grid cells are seconds-scale and
 //!   embarrassingly parallel, so that is where threads go — the CLI's
@@ -28,39 +30,8 @@
 use crate::chromosome::Chromosome;
 use crate::problem::MooProblem;
 use crate::Objectives;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// FNV-1a hasher for the memo: chromosome keys are one or two `u64` words,
-/// for which SipHash's per-lookup cost is pure overhead on the GA hot path.
-#[derive(Default)]
-struct FnvHasher(u64);
-
-impl Hasher for FnvHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x1000_0000_01b3);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
 
 /// Greedy saturation: select every still-fitting unselected job, front of
 /// the window first. Because both MOO formulations have objectives that are
@@ -82,68 +53,6 @@ pub fn saturate<P: MooProblem + ?Sized>(problem: &P, c: &mut Chromosome) {
             }
         }
     }
-}
-
-/// Memo of repair/saturate/evaluate results, keyed by the *pre-repair*
-/// chromosome.
-///
-/// Sound because repair and saturation are pure functions of the chromosome
-/// (the cyclic repair order derives from the content hash, not an RNG) and
-/// `evaluate` is pure by the [`MooProblem`] contract. Duplicate children
-/// proliferate once the population converges — crossover of equal parents
-/// reproduces them exactly — so late-run generations hit the memo almost
-/// every time. One memo must never be shared across different problems.
-#[derive(Default)]
-pub struct EvalMemo {
-    map: HashMap<Chromosome, (Chromosome, Objectives), BuildHasherDefault<FnvHasher>>,
-}
-
-impl EvalMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distinct pre-repair chromosomes seen so far.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the memo has seen no chromosome yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// Serial, memoized variant of [`repair_and_evaluate`]: each chromosome is
-/// looked up pre-repair, and only misses pay for repair + saturation +
-/// evaluation. Results (including the in-place repaired chromosomes) are
-/// identical to the unmemoized path.
-pub fn repair_and_evaluate_memo<P: MooProblem + ?Sized>(
-    problem: &P,
-    chroms: &mut [Chromosome],
-    saturate_after: bool,
-    memo: &mut EvalMemo,
-) -> Vec<Objectives> {
-    chroms
-        .iter_mut()
-        .map(|c| {
-            if let Some((fixed, objs)) = memo.map.get(c) {
-                c.clone_from(fixed);
-                return *objs;
-            }
-            let key = c.clone();
-            let objs = if saturate_after {
-                problem.repair(c);
-                saturate(problem, c);
-                problem.evaluate(c)
-            } else {
-                problem.repair_evaluate(c)
-            };
-            memo.map.insert(key, (c.clone(), objs));
-            objs
-        })
-        .collect()
 }
 
 /// Repairs (and optionally saturates) every chromosome in place and returns
@@ -316,27 +225,6 @@ mod tests {
     fn run_batch_handles_empty_and_single() {
         assert!(run_batch::<i32, fn() -> i32>(4, vec![]).is_empty());
         assert_eq!(run_batch(4, vec![|| 7]), vec![7]);
-    }
-
-    #[test]
-    fn memoized_path_matches_unmemoized() {
-        let (problem, chroms) = random_problem(30, 31);
-        // Duplicate a prefix so the memo actually gets hits.
-        let mut with_dups = chroms.clone();
-        with_dups.extend(chroms.iter().take(8).cloned());
-        for saturate_after in [false, true] {
-            let mut plain = with_dups.clone();
-            let mut memoed = with_dups.clone();
-            let mut memo = EvalMemo::new();
-            assert!(memo.is_empty());
-            let po = repair_and_evaluate(&problem, &mut plain, 1, saturate_after);
-            let mo = repair_and_evaluate_memo(&problem, &mut memoed, saturate_after, &mut memo);
-            assert_eq!(plain, memoed, "memo hits must restore the repaired chromosome");
-            for (a, b) in po.iter().zip(&mo) {
-                assert_eq!(a.as_slice(), b.as_slice());
-            }
-            assert!(memo.len() <= with_dups.len() - 8, "duplicates must hit, not insert");
-        }
     }
 
     #[test]
